@@ -196,18 +196,42 @@ void MaxMinSolver::waterfill() {
     SMR_CHECK_MSG(remaining_[r] >= 0.0, "negative capacity for resource " << r);
     saturated_below_[r] = kEps * (remaining_[r] + 1.0);
   }
+
+  // Resource -> positive-weight users, as CSR: users_[user_begin_[r],
+  // user_begin_[r + 1]) are the flows that freeze when r saturates.  Count
+  // into user_begin_[r], prefix-sum to each list's end, then fill
+  // backwards so every entry ends at its list's start.
+  user_begin_.assign(nr + 1, 0);
   for (const auto& flow : flows_) {
     for (const auto& use : flow.uses) {
       SMR_CHECK_MSG(use.resource >= 0 && static_cast<std::size_t>(use.resource) < nr,
                     "flow uses unknown resource " << use.resource);
       SMR_CHECK(use.weight >= 0.0);
+      if (use.weight > 0.0) ++user_begin_[static_cast<std::size_t>(use.resource)];
+    }
+  }
+  for (std::size_t r = 1; r <= nr; ++r) user_begin_[r] += user_begin_[r - 1];
+  users_.resize(user_begin_[nr]);
+  for (std::size_t i = 0; i < nf; ++i) {
+    for (const auto& use : flows_[i].uses) {
+      if (use.weight > 0.0) {
+        users_[--user_begin_[static_cast<std::size_t>(use.resource)]] =
+            static_cast<std::uint32_t>(i);
+      }
     }
   }
 
-  auto resource_empty = [&](int r) {
-    const auto idx = static_cast<std::size_t>(r);
-    return remaining_[idx] <= saturated_below_[idx];
+  // on_empty_[i]: flow i uses an empty resource with positive weight.  An
+  // active flow's resources all have positive weight sums, so `remaining`
+  // changes only for them and, never growing, a resource turns empty once;
+  // marking the users of each resource as it empties replaces rescanning
+  // every active flow's uses in the freeze pass.
+  on_empty_.assign(nf, 0);
+  auto mark_users_if_empty = [&](std::size_t r) {
+    if (!(remaining_[r] <= saturated_below_[r])) return;  // the oracle's test
+    for (std::uint32_t u = user_begin_[r]; u < user_begin_[r + 1]; ++u) on_empty_[users_[u]] = 1;
   };
+  for (std::size_t r = 0; r < nr; ++r) mark_users_if_empty(r);
 
   // Active flow indices, ascending — the same visit order as the oracle's
   // skip-the-frozen scans, so every floating-point accumulation happens in
@@ -217,9 +241,7 @@ void MaxMinSolver::waterfill() {
     const auto& flow = flows_[i];
     bool dead = (flow.rate_cap != kNoCap && flow.rate_cap <= 0.0);
     if (dead) frozen_by_cap_[i] = true;
-    for (const auto& use : flow.uses) {
-      if (use.weight > 0.0 && resource_empty(use.resource)) dead = true;
-    }
+    if (on_empty_[i] != 0) dead = true;
     if (!dead) active_.push_back(static_cast<std::uint32_t>(i));
   }
 
@@ -244,9 +266,12 @@ void MaxMinSolver::waterfill() {
     delta = std::max(delta, 0.0);
 
     for (const std::uint32_t i : active_) rates_[i] += delta;
+    // Where sumw is 0 the oracle subtracts an exact 0 — a no-op.
     for (std::size_t r = 0; r < nr; ++r) {
+      if (!(sumw_[r] > 0.0)) continue;
       remaining_[r] -= delta * sumw_[r];
       if (remaining_[r] < 0.0) remaining_[r] = 0.0;  // numerical guard
+      mark_users_if_empty(r);
     }
 
     // Freeze flows that hit their cap or a saturated resource; stable
@@ -255,15 +280,12 @@ void MaxMinSolver::waterfill() {
     std::size_t out = 0;
     for (const std::uint32_t i : active_) {
       const auto& flow = flows_[i];
-      bool freeze = false;
+      bool freeze = on_empty_[i] != 0;
       if (flow.rate_cap != kNoCap &&
           rates_[i] >= flow.rate_cap - kEps * (1.0 + flow.rate_cap)) {
         rates_[i] = flow.rate_cap;
         frozen_by_cap_[i] = true;
         freeze = true;
-      }
-      for (const auto& use : flow.uses) {
-        if (use.weight > 0.0 && resource_empty(use.resource)) freeze = true;
       }
       if (!freeze) active_[out++] = i;
     }

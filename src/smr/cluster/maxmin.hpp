@@ -118,6 +118,11 @@ class MaxMinSolver {
   std::vector<double> saturated_below_;
   std::vector<double> sumw_;
   std::vector<std::uint32_t> active_;
+  // Resource -> positive-weight users (CSR) and per-flow "uses an empty
+  // resource" marks, rebuilt once per water-fill.
+  std::vector<std::uint32_t> user_begin_;
+  std::vector<std::uint32_t> users_;
+  std::vector<char> on_empty_;
 
   Stats stats_;
 };

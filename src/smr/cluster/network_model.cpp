@@ -7,15 +7,15 @@
 namespace smr::cluster {
 
 void NetworkModel::build_problem(std::span<const NetFlow> flows,
-                                 std::span<const int> fetch_streams_per_node,
-                                 std::vector<double>& capacities,
-                                 std::vector<FlowDemand>& demands) const {
+                                 std::span<const int> fetch_streams_per_node, bool collapse,
+                                 Problem& out) const {
   const auto& spec = *spec_;
   const int n = spec.worker_count();
   SMR_CHECK(fetch_streams_per_node.empty() ||
             fetch_streams_per_node.size() == static_cast<std::size_t>(n));
 
   // Resource layout: [0, n) receive ports, [n, 2n) transmit ports, 2n fabric.
+  std::vector<double>& capacities = out.capacities;
   capacities.assign(static_cast<std::size_t>(2 * n) + 1, 0.0);
   for (int i = 0; i < n; ++i) {
     const auto& node = spec.workers[static_cast<std::size_t>(i)];
@@ -28,21 +28,44 @@ void NetworkModel::build_problem(std::span<const NetFlow> flows,
   }
   capacities[static_cast<std::size_t>(2 * n)] = spec.network.fabric_bandwidth;
 
+  out.is_p2p_source.assign(static_cast<std::size_t>(n), 0);
+  for (const NetFlow& flow : flows) {
+    SMR_CHECK_MSG(flow.dst >= 0 && flow.dst < n, "flow with invalid dst " << flow.dst);
+    if (flow.src == kInvalidNode) continue;
+    SMR_CHECK_MSG(flow.src >= 0 && flow.src < n, "flow with invalid src " << flow.src);
+    out.is_p2p_source[static_cast<std::size_t>(flow.src)] = 1;
+  }
+
+  // Transmit ports a diffuse flow lists: all of them, or (collapsed) every
+  // point-to-point source plus the first port of each capacity class among
+  // the rest.  The other ports keep their capacity but have no users.
+  out.diffuse_ports.clear();
+  out.represented.clear();
+  for (int s = 0; s < n; ++s) {
+    const double tx = capacities[static_cast<std::size_t>(n + s)];
+    if (collapse && out.is_p2p_source[static_cast<std::size_t>(s)] == 0) {
+      if (std::find(out.represented.begin(), out.represented.end(), tx) !=
+          out.represented.end()) {
+        continue;
+      }
+      out.represented.push_back(tx);
+    }
+    out.diffuse_ports.push_back(n + s);
+  }
+
   const double diffuse_weight = 1.0 / static_cast<double>(n);
+  std::vector<FlowDemand>& demands = out.demands;
   demands.resize(flows.size());
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const auto& flow = flows[f];
-    SMR_CHECK_MSG(flow.dst >= 0 && flow.dst < n, "flow with invalid dst " << flow.dst);
     FlowDemand& d = demands[f];
     d.rate_cap = flow.rate_cap;
     d.uses.clear();
     d.uses.push_back({flow.dst, 1.0});                       // receive port
     d.uses.push_back({2 * n, 1.0});                          // fabric
     if (flow.src == kInvalidNode) {
-      // Diffuse: spread across every transmit port.
-      for (int s = 0; s < n; ++s) d.uses.push_back({n + s, diffuse_weight});
+      for (const int port : out.diffuse_ports) d.uses.push_back({port, diffuse_weight});
     } else {
-      SMR_CHECK_MSG(flow.src >= 0 && flow.src < n, "flow with invalid src " << flow.src);
       d.uses.push_back({n + flow.src, 1.0});
     }
   }
@@ -51,10 +74,9 @@ void NetworkModel::build_problem(std::span<const NetFlow> flows,
 std::vector<double> NetworkModel::allocate(
     std::span<const NetFlow> flows, std::span<const int> fetch_streams_per_node) const {
   if (flows.empty()) return {};
-  std::vector<double> capacities;
-  std::vector<FlowDemand> demands;
-  build_problem(flows, fetch_streams_per_node, capacities, demands);
-  return max_min_allocate(capacities, demands);
+  Problem problem;
+  build_problem(flows, fetch_streams_per_node, /*collapse=*/false, problem);
+  return max_min_allocate(problem.capacities, problem.demands);
 }
 
 namespace {
@@ -82,8 +104,8 @@ const std::vector<double>& NetworkModel::allocate_cached(
     return memo_rates_;
   }
 
-  build_problem(flows, fetch_streams_per_node, caps_scratch_, demands_scratch_);
-  const std::vector<double>& rates = solver_.solve(caps_scratch_, demands_scratch_);
+  build_problem(flows, fetch_streams_per_node, /*collapse=*/true, scratch_);
+  const std::vector<double>& rates = solver_.solve(scratch_.capacities, scratch_.demands);
   memo_flows_.assign(flows.begin(), flows.end());
   memo_streams_.assign(fetch_streams_per_node.begin(), fetch_streams_per_node.end());
   memo_rates_ = rates;

@@ -4,8 +4,19 @@
 // Resources: one receive port and one transmit port per node plus the
 // switch fabric.  Shuffle fetches are "diffuse" flows — a reduce task pulls
 // its partition from every node that holds finished map output — so a
-// shuffle flow loads its receiver's port with weight 1 and every transmit
-// port with weight 1/N.  Remote reads are point-to-point.
+// shuffle flow loads its receiver's port and the fabric with weight 1 and
+// the transmit side with weight 1/N per port.  Remote reads are
+// point-to-point: receiver, fabric and the sender's transmit port, all
+// with weight 1.
+//
+// The oracle (allocate) lists all N transmit ports on every diffuse flow.
+// The cached path lists each point-to-point source port, plus one
+// representative per distinct capacity among the transmit ports no
+// point-to-point flow uses.  Ports of one such class see the same `+= 1/N`
+// additions in the same flow order, so the water-fill keeps them bitwise
+// equal and saturates them in the same round: the representative stands in
+// exactly, and a diffuse solve costs O(flows x distinct ports) instead of
+// O(flows x N).  docs/PERF.md §1 has the full argument.
 //
 // Per-receiver incast: when a node hosts many concurrent fetch streams
 // (reducers × parallel copier threads) its receive goodput degrades per
@@ -71,18 +82,30 @@ class NetworkModel {
   }
 
  private:
-  /// Build the (capacities, demands) max-min problem into the given
-  /// buffers (shared by the oracle and cached paths so the arithmetic is
-  /// identical).
+  /// A built max-min problem plus build scratch; the cached path reuses
+  /// one across calls.
+  struct Problem {
+    std::vector<double> capacities;
+    std::vector<FlowDemand> demands;
+    /// Transmit-port resources every diffuse flow lists, ascending.
+    std::vector<int> diffuse_ports;
+    /// is_p2p_source[s]: node s sends a point-to-point flow.
+    std::vector<char> is_p2p_source;
+    /// Capacities that already have a representative port.
+    std::vector<double> represented;
+  };
+
+  /// Build the (capacities, demands) max-min problem (shared by the oracle
+  /// and cached paths so the arithmetic is identical).  `collapse` lists
+  /// one representative per equivalent transmit-port class on diffuse
+  /// flows instead of every port; the resource layout is the same.
   void build_problem(std::span<const NetFlow> flows,
-                     std::span<const int> fetch_streams_per_node,
-                     std::vector<double>& capacities,
-                     std::vector<FlowDemand>& demands) const;
+                     std::span<const int> fetch_streams_per_node, bool collapse,
+                     Problem& out) const;
 
   const ClusterSpec* spec_;
   MaxMinSolver solver_;
-  std::vector<double> caps_scratch_;
-  std::vector<FlowDemand> demands_scratch_;
+  Problem scratch_;
   std::vector<double> empty_;
   // Raw-input memo (see allocate_cached).
   bool memo_valid_ = false;

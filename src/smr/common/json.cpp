@@ -83,8 +83,18 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          std::ostringstream oss;
+          oss << "nesting deeper than " << kMaxJsonDepth << " levels";
+          return fail(oss.str());
+        }
+        ++depth_;
+        auto value = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return parse_string();
       case 't':
         return parse_literal("true", JsonValue(true));
@@ -292,6 +302,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 

@@ -75,8 +75,14 @@ class JsonValue {
   std::shared_ptr<JsonObject> object_;
 };
 
+/// Deepest array/object nesting parse_json accepts.  The parser recurses
+/// once per level, so hostile input must not choose the depth; the
+/// writers never nest more than a few levels.
+inline constexpr int kMaxJsonDepth = 512;
+
 /// Parses exactly one JSON document from `text` (trailing whitespace
-/// allowed).  Returns nullopt with a message in *error on malformed input.
+/// allowed).  Returns nullopt with a message in *error on malformed input,
+/// including nesting deeper than kMaxJsonDepth.
 std::optional<JsonValue> parse_json(const std::string& text,
                                     std::string* error = nullptr);
 

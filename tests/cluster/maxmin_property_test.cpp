@@ -8,13 +8,15 @@
 //   * max-min fairness: every flow is either at its cap or uses at least
 //     one saturated resource (otherwise its rate could be raised, which
 //     contradicts max-min optimality);
-//   * the solver's fast paths (exact-repeat and cap-slack) never diverge
-//     from a fresh oracle solve — not even in the last bit.
+//   * the solver's fast paths (exact-repeat and cap-slack) and its sparse
+//     freeze pass never diverge from a fresh oracle solve — not even in
+//     the last bit.
 #include "smr/cluster/maxmin.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "smr/common/rng.hpp"
@@ -226,6 +228,97 @@ TEST(MaxMinSolverDifferential, RandomMutationSequencesMatchOracleBitwise) {
     EXPECT_EQ(stats.calls, stats.cache_hits + stats.cap_fast_hits + stats.full_solves);
   }
   EXPECT_GE(total_checks, 2000);
+}
+
+// The solver's freeze pass only looks at flows that use a resource which
+// emptied this round (a resource -> user index).  These instances are built
+// to stress that: capacities from a small set so several resources saturate
+// in the same round, zero and below-threshold capacities that are empty
+// before the first round, zero-weight uses of saturating resources (which must not
+// freeze the flow), and repeated uses of one resource within a flow.
+Problem tied_problem(Rng& rng) {
+  Problem p;
+  const int resources = static_cast<int>(rng.uniform_int(1, 8));
+  const int flows = static_cast<int>(rng.uniform_int(0, 16));
+  const double capacity_set[] = {0.0, 1e-12, 50.0, 100.0, 100.0, 300.0};
+  for (int r = 0; r < resources; ++r) {
+    p.capacities.push_back(capacity_set[rng.uniform_int(0, 5)]);
+  }
+  const double weight_set[] = {0.0, 0.5, 1.0, 1.0, 2.0};
+  p.flows.resize(static_cast<std::size_t>(flows));
+  for (FlowDemand& flow : p.flows) {
+    flow.rate_cap = rng.uniform() < 0.2 ? capacity_set[rng.uniform_int(0, 5)] / 4.0 : kNoCap;
+    const int uses = static_cast<int>(rng.uniform_int(0, 4));
+    for (int u = 0; u < uses; ++u) {
+      flow.uses.push_back({static_cast<int>(rng.uniform_int(0, resources - 1)),
+                           weight_set[rng.uniform_int(0, 4)]});
+    }
+    if (flow.rate_cap == kNoCap && !bounded_by_use(flow)) flow.rate_cap = 25.0;
+  }
+  return p;
+}
+
+void expect_bitwise(const std::vector<double>& actual, const std::vector<double>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(actual[i], expected[i]) << "flow " << i;
+    ASSERT_EQ(std::signbit(actual[i]), std::signbit(expected[i])) << "flow " << i;
+  }
+}
+
+TEST(MaxMinSolverSparseFreeze, TiedSaturationsMatchOracleBitwise) {
+  Rng rng(0x5a7ULL);
+  MaxMinSolver reused;  // scratch (incl. the user index) carried across shapes
+  for (int trial = 0; trial < 2000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Problem p = tied_problem(rng);
+    const std::vector<double> expected = max_min_allocate(p.capacities, p.flows);
+    MaxMinSolver fresh;
+    expect_bitwise(fresh.solve(p.capacities, p.flows), expected);
+    expect_bitwise(reused.solve(p.capacities, p.flows), expected);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(MaxMinSolverSparseFreeze, ResourceEmptyAtStartFreezesOnlyWeightedUsers) {
+  // Resource 0 is below the saturation threshold but not zero: its users
+  // must be frozen before the first round, not after a tiny first delta.
+  const std::vector<double> caps{1e-12, 100.0};
+  std::vector<FlowDemand> flows(3);
+  flows[0].rate_cap = kNoCap;
+  flows[0].uses = {{0, 1.0}, {1, 1.0}};  // dead from the start
+  flows[1].rate_cap = kNoCap;
+  flows[1].uses = {{0, 0.0}, {1, 1.0}};  // weightless on the empty resource
+  flows[2].rate_cap = kNoCap;
+  flows[2].uses = {{1, 1.0}};
+  MaxMinSolver solver;
+  const std::vector<double> rates = solver.solve(caps, flows);
+  expect_bitwise(rates, max_min_allocate(caps, flows));
+  EXPECT_EQ(rates[0], 0.0);
+  EXPECT_DOUBLE_EQ(rates[1], 50.0);
+  EXPECT_DOUBLE_EQ(rates[2], 50.0);
+}
+
+TEST(MaxMinSolverSparseFreeze, SeveralResourcesSaturateInOneRound) {
+  // Resources 0 and 1 saturate together in round one; resource 2 is only
+  // touched by zero-weight uses and by flow 3, which keeps rising.
+  const std::vector<double> caps{100.0, 100.0, 1000.0};
+  std::vector<FlowDemand> flows(4);
+  flows[0].rate_cap = kNoCap;
+  flows[0].uses = {{0, 1.0}, {2, 0.0}};
+  flows[1].rate_cap = kNoCap;
+  flows[1].uses = {{1, 1.0}, {2, 0.0}};
+  flows[2].rate_cap = kNoCap;
+  flows[2].uses = {{0, 1.0}, {1, 1.0}};
+  flows[3].rate_cap = kNoCap;
+  flows[3].uses = {{2, 1.0}, {2, 1.0}};  // the same resource twice
+  MaxMinSolver solver;
+  const std::vector<double> rates = solver.solve(caps, flows);
+  expect_bitwise(rates, max_min_allocate(caps, flows));
+  EXPECT_DOUBLE_EQ(rates[0], 50.0);
+  EXPECT_DOUBLE_EQ(rates[1], 50.0);
+  EXPECT_DOUBLE_EQ(rates[2], 50.0);
+  EXPECT_DOUBLE_EQ(rates[3], 500.0);
 }
 
 TEST(MaxMinSolverDifferential, ExactRepeatHitsCache) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "smr/common/rng.hpp"
 
 namespace smr::cluster {
 namespace {
@@ -118,6 +123,190 @@ TEST(NetworkModel, ManyDiffuseFlowsBoundBySenderAggregate) {
   // Each receiver's two flows split its port.
   EXPECT_NEAR(rates[0], spec.workers[0].nic_bandwidth / 2.0,
               spec.workers[0].nic_bandwidth * 0.05);
+}
+
+// Differential suite: allocate_cached() collapses equivalent transmit ports
+// on diffuse flows, allocate() lists every port.  Over seeded mutation
+// sequences the two must agree bit for bit.
+class CollapseDifferential {
+ public:
+  CollapseDifferential(const ClusterSpec& spec, Rng& rng)
+      : spec_(&spec), rng_(&rng), net_(spec) {
+    reshape();
+  }
+
+  void check_once() {
+    const std::vector<double> expected = net_.allocate(flows_, streams_);
+    const std::vector<double>& actual = net_.allocate_cached(flows_, streams_);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(actual[i], expected[i]) << "flow " << i;
+      ASSERT_EQ(std::signbit(actual[i]), std::signbit(expected[i])) << "flow " << i;
+    }
+  }
+
+  void mutate() {
+    const double which = rng_->uniform();
+    if (which < 0.2) return;  // repeat: raw-input memo
+    if (which < 0.5 && !flows_.empty()) {
+      // Cap moves only: cap-slack fast path or a re-solve.
+      for (int k = 0; k < 3; ++k) {
+        random_flow().rate_cap = random_cap();
+      }
+      return;
+    }
+    if (which < 0.65) {
+      random_streams();
+      return;
+    }
+    if (which < 0.8 && !flows_.empty()) {
+      // Retarget one flow: changes which ports are point-to-point sources.
+      random_flow() = random_net_flow();
+      return;
+    }
+    reshape();
+  }
+
+ private:
+  int nodes() const { return spec_->worker_count(); }
+
+  NetFlow& random_flow() {
+    return flows_[static_cast<std::size_t>(
+        rng_->uniform_int(0, static_cast<std::int64_t>(flows_.size()) - 1))];
+  }
+
+  double random_cap() {
+    const double u = rng_->uniform();
+    if (u < 0.4) return kNoCap;
+    if (u < 0.5) return 0.0;
+    return rng_->uniform(0.1, 200.0) * static_cast<double>(kMiB);
+  }
+
+  NetFlow random_net_flow() {
+    NetFlow flow;
+    flow.dst = static_cast<NodeId>(rng_->uniform_int(0, nodes() - 1));
+    if (!sources_.empty() && rng_->uniform() < p2p_share_) {
+      flow.src = sources_[static_cast<std::size_t>(
+          rng_->uniform_int(0, static_cast<std::int64_t>(sources_.size()) - 1))];
+    }
+    flow.rate_cap = random_cap();
+    return flow;
+  }
+
+  void random_streams() {
+    streams_.clear();
+    if (rng_->uniform() < 0.2) return;  // incast disabled
+    for (int d = 0; d < nodes(); ++d) {
+      // Up to 5x the default knee, so many receivers run degraded.
+      streams_.push_back(static_cast<int>(rng_->uniform_int(0, 60)));
+    }
+  }
+
+  // New flow set: a random pool of point-to-point sources (from none up to
+  // every node), a random point-to-point share, and fresh flows.
+  void reshape() {
+    const int pool = static_cast<int>(rng_->uniform_int(0, nodes()));
+    sources_.clear();
+    for (int k = 0; k < pool; ++k) {
+      sources_.push_back(static_cast<NodeId>(rng_->uniform_int(0, nodes() - 1)));
+    }
+    if (pool == nodes() && rng_->uniform() < 0.5) {
+      // Every node a source.
+      sources_.clear();
+      for (int s = 0; s < nodes(); ++s) sources_.push_back(s);
+    }
+    p2p_share_ = rng_->uniform(0.0, 1.0);
+    flows_.clear();
+    const int count = static_cast<int>(rng_->uniform_int(1, 4 * nodes()));
+    for (int f = 0; f < count; ++f) flows_.push_back(random_net_flow());
+    random_streams();
+  }
+
+  const ClusterSpec* spec_;
+  Rng* rng_;
+  NetworkModel net_;
+  std::vector<NodeId> sources_;
+  double p2p_share_ = 0.0;
+  std::vector<NetFlow> flows_;
+  std::vector<int> streams_;
+};
+
+void run_collapse_differential(const ClusterSpec& spec, std::uint64_t seed, int sequences,
+                               int steps) {
+  Rng rng(seed);
+  for (int sequence = 0; sequence < sequences; ++sequence) {
+    CollapseDifferential diff(spec, rng);
+    for (int step = 0; step < steps; ++step) {
+      SCOPED_TRACE("sequence " + std::to_string(sequence) + " step " + std::to_string(step));
+      diff.check_once();
+      if (testing::Test::HasFatalFailure()) return;
+      diff.mutate();
+    }
+  }
+}
+
+// Two transmit-capacity classes, interleaved so no class is a prefix.
+// ClusterSpec::heterogeneous() only slows the CPU, so give its slow nodes a
+// slower NIC too.
+ClusterSpec two_nic_classes(int fast, int slow) {
+  ClusterSpec spec = ClusterSpec::heterogeneous(fast, slow);
+  for (int i = fast; i < fast + slow; ++i) {
+    spec.workers[static_cast<std::size_t>(i)].nic_bandwidth /= 2.0;
+  }
+  std::swap(spec.workers[0], spec.workers.back());
+  return spec;
+}
+
+TEST(NetworkModelCollapse, PaperTestbedMatchesOracleBitwise) {
+  run_collapse_differential(ClusterSpec::paper_testbed(16), 0xc011a95eULL, 40, 30);
+}
+
+TEST(NetworkModelCollapse, LargerTestbedMatchesOracleBitwise) {
+  run_collapse_differential(ClusterSpec::paper_testbed(64), 0x64ULL, 10, 20);
+}
+
+TEST(NetworkModelCollapse, TwoTransmitClassesMatchOracleBitwise) {
+  run_collapse_differential(two_nic_classes(10, 6), 0x2c1a55ULL, 40, 30);
+}
+
+TEST(NetworkModelCollapse, TinyFabricMatchesOracleBitwise) {
+  ClusterSpec spec = two_nic_classes(5, 3);
+  spec.network.fabric_bandwidth = 100.0;  // the fabric binds first
+  run_collapse_differential(spec, 0xfab1cULL, 40, 30);
+}
+
+TEST(NetworkModelCollapse, SingleNodeMatchesOracleBitwise) {
+  run_collapse_differential(ClusterSpec::paper_testbed(1), 0x1ULL, 20, 20);
+}
+
+TEST(NetworkModelCollapse, DiffuseAndEveryNodeAPointToPointSource) {
+  // Edge cases of the port list: no diffuse flow, no point-to-point flow,
+  // and every transmit port a point-to-point source (nothing collapses).
+  const ClusterSpec spec = two_nic_classes(3, 3);
+  NetworkModel net(spec);
+  std::vector<std::vector<NetFlow>> cases;
+  cases.push_back({{0, kInvalidNode, kNoCap}, {1, kInvalidNode, kNoCap}});
+  cases.push_back({{0, 1, kNoCap}, {2, 3, 5.0e6}});
+  std::vector<NetFlow> all_sources;
+  for (int s = 0; s < spec.worker_count(); ++s) {
+    all_sources.push_back({(s + 1) % spec.worker_count(), s, kNoCap});
+    all_sources.push_back({s, kInvalidNode, kNoCap});
+  }
+  cases.push_back(all_sources);
+  for (const auto& flows : cases) {
+    const std::vector<double> expected = net.allocate(flows, {});
+    const std::vector<double>& actual = net.allocate_cached(flows, {});
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(actual[i], expected[i]);
+  }
+}
+
+TEST(NetworkModelCollapse, InvalidSrcThrowsOnBothPaths) {
+  const auto spec = small_cluster();
+  NetworkModel net(spec);
+  std::vector<NetFlow> flows{{0, kInvalidNode, kNoCap}, {1, 99, kNoCap}};
+  EXPECT_THROW(net.allocate(flows, {}), SmrError);
+  EXPECT_THROW(net.allocate_cached(flows, {}), SmrError);
 }
 
 }  // namespace

@@ -100,6 +100,27 @@ TEST(Json, RejectsMalformedInputWithAMessage) {
   EXPECT_FALSE(parse_json("{'single':1}", &error).has_value());
 }
 
+TEST(Json, NestingIsBoundedByKMaxJsonDepth) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(parse_json(nested(kMaxJsonDepth)).has_value());
+  std::string error;
+  EXPECT_FALSE(parse_json(nested(kMaxJsonDepth + 1), &error).has_value());
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+
+  std::string objects;
+  for (int i = 0; i <= kMaxJsonDepth; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(static_cast<std::size_t>(kMaxJsonDepth) + 1, '}');
+  EXPECT_FALSE(parse_json(objects, &error).has_value());
+
+  // A million unclosed brackets fail with a message instead of exhausting
+  // the stack.
+  EXPECT_FALSE(parse_json(std::string(1000000, '['), &error).has_value());
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+}
+
 TEST(Jsonl, OneValuePerLineSkippingEmpties) {
   const auto values = parse_jsonl("{\"a\":1}\n\n{\"a\":2}\n");
   ASSERT_TRUE(values.has_value());

@@ -124,6 +124,10 @@ TEST(Sweep, ValidationCatchesNonsense) {
   config = small_sweep(SweepDimension::kMapSlots, {2});
   config.engines.clear();
   EXPECT_THROW(run_sweep(config), SmrError);
+  // Caught on the caller thread: a throw inside a pool task terminates.
+  config = small_sweep(SweepDimension::kMapSlots, {2});
+  config.base.trials = 0;
+  EXPECT_THROW(run_sweep(config), SmrError);
 }
 
 }  // namespace

@@ -559,9 +559,7 @@ int diff(const RunData& base, const RunData& cand, const FlagSet& flags) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   FlagSet flags(
       "Summarise one run's observability artifacts, or diff two runs and "
       "fail on regression.\n"
@@ -627,4 +625,16 @@ int main(int argc, char** argv) {
     return diff(base, cand, flags);
   }
   return fail("unknown command '" + command + "' (summary | diff)");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // The one boundary handler: a library error (invalid input that reached
+  // an SMR_CHECK, a malformed file) ends the run with exit 1, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    return fail(e.what());
+  }
 }

@@ -72,9 +72,7 @@ void print_report(const serve::ServeReport& report) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   FlagSet flags(
       "Serve open-loop multi-tenant MapReduce arrivals on a long-lived "
       "simulated cluster and report steady-state SLO metrics.");
@@ -199,12 +197,8 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.get_int("reduce-slots"));
   config.experiment.scheduler = *scheduler;
   if (const std::string spec = flags.get_string("policy"); !spec.empty()) {
-    try {
-      config.experiment.policy = alloc::parse_policy_spec(spec);
-      driver::make_policy(config.experiment);  // validate name + options now
-    } catch (const SmrError& e) {
-      return fail(e.what());
-    }
+    config.experiment.policy = alloc::parse_policy_spec(spec);
+    driver::make_policy(config.experiment);  // validate name + options now
   }
   config.horizon = flags.get_double("horizon");
   config.warmup = flags.get_double("warmup");
@@ -268,200 +262,208 @@ int main(int argc, char** argv) {
     config.tenants.push_back(std::move(tenant));
   }
 
-  try {
-    if (flags.get_bool("frontier")) {
-      alloc::FrontierConfig frontier;
-      frontier.experiment = config.experiment;
-      frontier.offered_jobs_per_hour = flags.get_double("rate");
-      frontier.horizon = config.horizon;
-      frontier.warmup = config.warmup;
-      frontier.drain_limit = config.drain_limit;
-      frontier.admission = config.admission;
-      frontier.seed = config.seed;
+  if (flags.get_bool("frontier")) {
+    alloc::FrontierConfig frontier;
+    frontier.experiment = config.experiment;
+    frontier.offered_jobs_per_hour = flags.get_double("rate");
+    frontier.horizon = config.horizon;
+    frontier.warmup = config.warmup;
+    frontier.drain_limit = config.drain_limit;
+    frontier.admission = config.admission;
+    frontier.seed = config.seed;
 
-      const std::string list = flags.get_string("policies");
-      const std::vector<alloc::PolicySpec> specs = alloc::parse_policy_list(
-          list.empty() ? "hadoopv1;smapreduce;karma;gamecapacity;hybridjobdriven"
-                       : list);
+    const std::string list = flags.get_string("policies");
+    const std::vector<alloc::PolicySpec> specs = alloc::parse_policy_list(
+        list.empty() ? "hadoopv1;smapreduce;karma;gamecapacity;hybridjobdriven"
+                     : list);
 
-      const alloc::FrontierResult result = alloc::run_frontier(frontier, specs);
-      std::printf("fairness-vs-goodput frontier (%.1f jobs/h offered):\n",
-                  frontier.offered_jobs_per_hour);
-      for (const auto& point : result.points) {
-        std::printf(
-            "  %-16s %-18s goodput=%6.1f/h p99=%8.1fs jain=%.3f "
-            "envy=%.3f nash=%.3f\n",
-            point.policy.c_str(), point.mix.c_str(), point.goodput_per_hour,
-            point.p99_latency_s, point.jain, point.max_envy,
-            point.nash_welfare);
-      }
-      if (const std::string path = flags.get_string("frontier-out");
-          !path.empty()) {
-        std::ofstream out(path);
-        if (!out) return fail("cannot write " + path);
-        alloc::write_frontier_csv(result, out);
-        std::printf("frontier CSV written to %s\n", path.c_str());
-      }
-      if (const std::string path = flags.get_string("fairness-out");
-          !path.empty()) {
-        std::ofstream out(path);
-        if (!out) return fail("cannot write " + path);
-        alloc::write_fairness_json(result.reports, out);
-        std::printf("fairness report written to %s\n", path.c_str());
-      }
-      return 0;
+    const alloc::FrontierResult result = alloc::run_frontier(frontier, specs);
+    std::printf("fairness-vs-goodput frontier (%.1f jobs/h offered):\n",
+                frontier.offered_jobs_per_hour);
+    for (const auto& point : result.points) {
+      std::printf(
+          "  %-16s %-18s goodput=%6.1f/h p99=%8.1fs jain=%.3f "
+          "envy=%.3f nash=%.3f\n",
+          point.policy.c_str(), point.mix.c_str(), point.goodput_per_hour,
+          point.p99_latency_s, point.jain, point.max_envy,
+          point.nash_welfare);
     }
-
-    if (const std::string sweep = flags.get_string("sweep"); !sweep.empty()) {
-      serve::CapacityConfig capacity;
-      capacity.base = config;
-      for (const std::string& rate : split_list(sweep)) {
-        capacity.rates.push_back(std::stod(rate));
-      }
-      capacity.p99_bound_s = flags.get_double("p99-bound");
-      capacity.max_shed_fraction = flags.get_double("max-shed-fraction");
-
-      std::vector<serve::CapacityCurve> curves;
-      if (const std::string list = flags.get_string("policies"); !list.empty()) {
-        curves = serve::sweep_policies(capacity, alloc::parse_policy_list(list));
-      } else {
-        std::vector<driver::EngineKind> engines;
-        if (const std::string names = flags.get_string("engines");
-            !names.empty()) {
-          for (const std::string& name : split_list(names)) {
-            const auto kind = driver::engine_from_name(name);
-            if (!kind) return fail("unknown engine '" + name + "'");
-            engines.push_back(*kind);
-          }
-        } else {
-          engines = driver::all_engines();
-        }
-        curves = serve::sweep_engines(capacity, engines);
-      }
-      std::printf("capacity sweep: p99 bound %.0fs, shed bound %.2f\n",
-                  capacity.p99_bound_s, capacity.max_shed_fraction);
-      for (const auto& curve : curves) {
-        std::printf("  %-10s knee = %.1f jobs/hour\n", curve.engine.c_str(),
-                    curve.knee_jobs_per_hour);
-        for (const auto& point : curve.points) {
-          std::printf("    %6.1f jobs/h  p99=%8.1fs  shed=%lld  %s\n",
-                      point.jobs_per_hour, point.report.aggregate.latency.p99,
-                      static_cast<long long>(point.report.aggregate.shed),
-                      point.sustainable ? "sustainable" : "OVERLOAD");
-        }
-      }
-      if (const std::string path = flags.get_string("capacity-out");
-          !path.empty()) {
-        std::ofstream out(path);
-        if (!out) return fail("cannot write " + path);
-        serve::write_capacity_json(capacity, curves, out);
-        std::printf("capacity report written to %s\n", path.c_str());
-      }
-      if (const std::string path = flags.get_string("fairness-out");
-          !path.empty()) {
-        std::vector<alloc::FairnessReport> reports;
-        for (const auto& curve : curves) {
-          for (const auto& point : curve.points) {
-            alloc::FairnessReport labelled = point.fairness;
-            char rate[32];
-            std::snprintf(rate, sizeof(rate), "@%.6g", point.jobs_per_hour);
-            labelled.policy = curve.engine + rate;
-            reports.push_back(std::move(labelled));
-          }
-        }
-        std::ofstream out(path);
-        if (!out) return fail("cannot write " + path);
-        alloc::write_fairness_json(reports, out);
-        std::printf("fairness report written to %s\n", path.c_str());
-      }
-      return 0;
-    }
-
-    // Single serving run.
-    serve::ArrivalTrace trace;
-    const std::string replay_path = flags.get_string("arrivals-csv");
-    if (!replay_path.empty()) {
-      trace = serve::load_arrivals_csv(replay_path);
-    } else {
-      trace = serve::generate_arrivals(config.tenants, config.horizon,
-                                       config.seed ^ 0xa11a5eedULL);
-    }
-    if (const std::string path = flags.get_string("arrivals-out");
+    if (const std::string path = flags.get_string("frontier-out");
         !path.empty()) {
       std::ofstream out(path);
       if (!out) return fail("cannot write " + path);
-      serve::write_arrivals_csv(trace, out);
-    }
-
-    obs::MetricsRegistry registry;
-    metrics::TraceLog trace_log;
-    obs::DecisionLog decisions;
-    alloc::FairnessTracker fairness;
-    serve::ServeSession session(config);
-    if (!flags.get_string("trace-out").empty()) session.set_trace(&trace_log);
-    if (!flags.get_string("decisions-out").empty()) {
-      session.set_decisions(&decisions);
-    }
-    if (!flags.get_string("fairness-out").empty()) {
-      session.set_fairness(&fairness);
-    }
-    const serve::ServeReport report = session.replay(std::move(trace), &registry);
-    print_report(report);
-    if (const std::size_t alerts = session.burn_alerts().size(); alerts > 0) {
-      std::printf("burn-rate alerts fired: %zu (see --alerts-out)\n", alerts);
-    }
-
-    if (const std::string path = flags.get_string("report-out"); !path.empty()) {
-      std::ofstream out(path);
-      if (!out) return fail("cannot write " + path);
-      report.write_json(out);
-      out << '\n';
-      std::printf("serve report written to %s\n", path.c_str());
-    }
-    if (const std::string path = flags.get_string("metrics-out"); !path.empty()) {
-      std::ofstream out(path);
-      if (!out) return fail("cannot write " + path);
-      registry.write_jsonl(out);
-    }
-    if (const std::string path = flags.get_string("trace-out"); !path.empty()) {
-      std::ofstream out(path);
-      if (!out) return fail("cannot write " + path);
-      trace_log.write_chrome_trace(out);
-      std::printf("chrome trace (%zu events) written to %s\n", trace_log.size(),
-                  path.c_str());
-    }
-    if (const std::string path = flags.get_string("decisions-out");
-        !path.empty()) {
-      std::ofstream out(path);
-      if (!out) return fail("cannot write " + path);
-      obs::write_decisions_csv(decisions, out);
-      std::printf("decision log (%zu decisions) written to %s\n",
-                  decisions.size(), path.c_str());
+      alloc::write_frontier_csv(result, out);
+      std::printf("frontier CSV written to %s\n", path.c_str());
     }
     if (const std::string path = flags.get_string("fairness-out");
         !path.empty()) {
       std::ofstream out(path);
       if (!out) return fail("cannot write " + path);
-      alloc::write_fairness_json(fairness.report(), out);
-      std::printf("fairness report (%d samples) written to %s\n",
-                  fairness.samples(), path.c_str());
+      alloc::write_fairness_json(result.reports, out);
+      std::printf("fairness report written to %s\n", path.c_str());
     }
-    if (const std::string path = flags.get_string("alerts-out"); !path.empty()) {
+    return 0;
+  }
+
+  if (const std::string sweep = flags.get_string("sweep"); !sweep.empty()) {
+    serve::CapacityConfig capacity;
+    capacity.base = config;
+    for (const std::string& rate : split_list(sweep)) {
+      capacity.rates.push_back(std::stod(rate));
+    }
+    capacity.p99_bound_s = flags.get_double("p99-bound");
+    capacity.max_shed_fraction = flags.get_double("max-shed-fraction");
+
+    std::vector<serve::CapacityCurve> curves;
+    if (const std::string list = flags.get_string("policies"); !list.empty()) {
+      curves = serve::sweep_policies(capacity, alloc::parse_policy_list(list));
+    } else {
+      std::vector<driver::EngineKind> engines;
+      if (const std::string names = flags.get_string("engines");
+          !names.empty()) {
+        for (const std::string& name : split_list(names)) {
+          const auto kind = driver::engine_from_name(name);
+          if (!kind) return fail("unknown engine '" + name + "'");
+          engines.push_back(*kind);
+        }
+      } else {
+        engines = driver::all_engines();
+      }
+      curves = serve::sweep_engines(capacity, engines);
+    }
+    std::printf("capacity sweep: p99 bound %.0fs, shed bound %.2f\n",
+                capacity.p99_bound_s, capacity.max_shed_fraction);
+    for (const auto& curve : curves) {
+      std::printf("  %-10s knee = %.1f jobs/hour\n", curve.engine.c_str(),
+                  curve.knee_jobs_per_hour);
+      for (const auto& point : curve.points) {
+        std::printf("    %6.1f jobs/h  p99=%8.1fs  shed=%lld  %s\n",
+                    point.jobs_per_hour, point.report.aggregate.latency.p99,
+                    static_cast<long long>(point.report.aggregate.shed),
+                    point.sustainable ? "sustainable" : "OVERLOAD");
+      }
+    }
+    if (const std::string path = flags.get_string("capacity-out");
+        !path.empty()) {
       std::ofstream out(path);
       if (!out) return fail("cannot write " + path);
-      session.write_burn_alerts_jsonl(out);
+      serve::write_capacity_json(capacity, curves, out);
+      std::printf("capacity report written to %s\n", path.c_str());
     }
-    if (const std::string path = flags.get_string("shards-out"); !path.empty()) {
-      std::ofstream out(path);
-      if (!out || session.runtime() == nullptr) {
-        return fail("cannot write " + path);
+    if (const std::string path = flags.get_string("fairness-out");
+        !path.empty()) {
+      std::vector<alloc::FairnessReport> reports;
+      for (const auto& curve : curves) {
+        for (const auto& point : curve.points) {
+          alloc::FairnessReport labelled = point.fairness;
+          char rate[32];
+          std::snprintf(rate, sizeof(rate), "@%.6g", point.jobs_per_hour);
+          labelled.policy = curve.engine + rate;
+          reports.push_back(std::move(labelled));
+        }
       }
-      mapreduce::write_shard_stats_json(*session.runtime(), out);
-      std::printf("shard stats (%d shards) written to %s\n",
-                  session.runtime()->shard_count(), path.c_str());
+      std::ofstream out(path);
+      if (!out) return fail("cannot write " + path);
+      alloc::write_fairness_json(reports, out);
+      std::printf("fairness report written to %s\n", path.c_str());
     }
-    return report.completed ? 0 : 2;
-  } catch (const SmrError& e) {
+    return 0;
+  }
+
+  // Single serving run.
+  serve::ArrivalTrace trace;
+  const std::string replay_path = flags.get_string("arrivals-csv");
+  if (!replay_path.empty()) {
+    trace = serve::load_arrivals_csv(replay_path);
+  } else {
+    trace = serve::generate_arrivals(config.tenants, config.horizon,
+                                     config.seed ^ 0xa11a5eedULL);
+  }
+  if (const std::string path = flags.get_string("arrivals-out");
+      !path.empty()) {
+    std::ofstream out(path);
+    if (!out) return fail("cannot write " + path);
+    serve::write_arrivals_csv(trace, out);
+  }
+
+  obs::MetricsRegistry registry;
+  metrics::TraceLog trace_log;
+  obs::DecisionLog decisions;
+  alloc::FairnessTracker fairness;
+  serve::ServeSession session(config);
+  if (!flags.get_string("trace-out").empty()) session.set_trace(&trace_log);
+  if (!flags.get_string("decisions-out").empty()) {
+    session.set_decisions(&decisions);
+  }
+  if (!flags.get_string("fairness-out").empty()) {
+    session.set_fairness(&fairness);
+  }
+  const serve::ServeReport report = session.replay(std::move(trace), &registry);
+  print_report(report);
+  if (const std::size_t alerts = session.burn_alerts().size(); alerts > 0) {
+    std::printf("burn-rate alerts fired: %zu (see --alerts-out)\n", alerts);
+  }
+
+  if (const std::string path = flags.get_string("report-out"); !path.empty()) {
+    std::ofstream out(path);
+    if (!out) return fail("cannot write " + path);
+    report.write_json(out);
+    out << '\n';
+    std::printf("serve report written to %s\n", path.c_str());
+  }
+  if (const std::string path = flags.get_string("metrics-out"); !path.empty()) {
+    std::ofstream out(path);
+    if (!out) return fail("cannot write " + path);
+    registry.write_jsonl(out);
+  }
+  if (const std::string path = flags.get_string("trace-out"); !path.empty()) {
+    std::ofstream out(path);
+    if (!out) return fail("cannot write " + path);
+    trace_log.write_chrome_trace(out);
+    std::printf("chrome trace (%zu events) written to %s\n", trace_log.size(),
+                path.c_str());
+  }
+  if (const std::string path = flags.get_string("decisions-out");
+      !path.empty()) {
+    std::ofstream out(path);
+    if (!out) return fail("cannot write " + path);
+    obs::write_decisions_csv(decisions, out);
+    std::printf("decision log (%zu decisions) written to %s\n",
+                decisions.size(), path.c_str());
+  }
+  if (const std::string path = flags.get_string("fairness-out");
+      !path.empty()) {
+    std::ofstream out(path);
+    if (!out) return fail("cannot write " + path);
+    alloc::write_fairness_json(fairness.report(), out);
+    std::printf("fairness report (%d samples) written to %s\n",
+                fairness.samples(), path.c_str());
+  }
+  if (const std::string path = flags.get_string("alerts-out"); !path.empty()) {
+    std::ofstream out(path);
+    if (!out) return fail("cannot write " + path);
+    session.write_burn_alerts_jsonl(out);
+  }
+  if (const std::string path = flags.get_string("shards-out"); !path.empty()) {
+    std::ofstream out(path);
+    if (!out || session.runtime() == nullptr) {
+      return fail("cannot write " + path);
+    }
+    mapreduce::write_shard_stats_json(*session.runtime(), out);
+    std::printf("shard stats (%d shards) written to %s\n",
+                session.runtime()->shard_count(), path.c_str());
+  }
+  return report.completed ? 0 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // The one boundary handler: a library error (invalid input that reached
+  // an SMR_CHECK, a malformed file) ends the run with exit 1, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
     return fail(e.what());
   }
 }

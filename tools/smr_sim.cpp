@@ -92,9 +92,7 @@ bool parse_failures(const std::string& spec, double default_at,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   FlagSet flags("Simulate MapReduce jobs under HadoopV1, YARN or SMapReduce.");
   flags.define_string("engine", "smapreduce", "hadoopv1 | yarn | smapreduce");
   flags.define_string("policy", "",
@@ -196,12 +194,8 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
-    try {
-      config.policy = alloc::parse_policy_spec(spec);
-      driver::make_policy(config);  // surface unknown names/options now
-    } catch (const SmrError& e) {
-      return fail(e.what());
-    }
+    config.policy = alloc::parse_policy_spec(spec);
+    driver::make_policy(config);  // surface unknown names/options now
   }
   const int nodes = static_cast<int>(flags.get_int("nodes"));
   config.runtime.cluster = flags.get_bool("heterogeneous")
@@ -263,13 +257,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Surface config mistakes (bad failure specs, out-of-range rates) as a
-  // usage error instead of an uncaught SmrError mid-run.
-  try {
-    config.runtime.validate();
-  } catch (const SmrError& e) {
-    return fail(e.what());
-  }
+  // Surface config mistakes (bad failure specs, out-of-range rates) before
+  // any run starts.
+  config.runtime.validate();
 
   // Telemetry sinks share one instrumented single run (trial 1's seed).
   std::string trace_path = flags.get_string("trace-out");
@@ -407,4 +397,16 @@ int main(int argc, char** argv) {
     }
   }
   return result.completed ? 0 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // The one boundary handler: a library error (invalid input that reached
+  // an SMR_CHECK, a malformed file) ends the run with exit 1, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    return fail(e.what());
+  }
 }

@@ -44,9 +44,7 @@ std::vector<double> parse_values(const std::string& text, bool& ok) {
   return values;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   FlagSet flags("Sweep one simulator dimension across all engines, in parallel.");
   flags.define_string("dimension", "map-slots",
                       "map-slots | input-gib | nodes | seed");
@@ -93,11 +91,7 @@ int main(int argc, char** argv) {
 
   if (const std::string policies = flags.get_string("policies");
       !policies.empty()) {
-    try {
-      config.policies = alloc::parse_policy_list(policies);
-    } catch (const SmrError& e) {
-      return fail(e.what());
-    }
+    config.policies = alloc::parse_policy_list(policies);
   } else if (const std::string engines = flags.get_string("engines");
              engines != "all") {
     config.engines.clear();
@@ -111,12 +105,7 @@ int main(int argc, char** argv) {
     if (config.engines.empty()) return fail("empty --engines list");
   }
 
-  driver::SweepResult result;
-  try {
-    result = driver::run_sweep(config);
-  } catch (const SmrError& e) {
-    return fail(e.what());
-  }
+  const driver::SweepResult result = driver::run_sweep(config);
 
   // Human-readable table: one row per value, one column per allocator.
   const std::size_t columns = config.columns();
@@ -149,4 +138,16 @@ int main(int argc, char** argv) {
     std::printf("\nCSV written to %s\n", path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // The one boundary handler: a library error (invalid input that reached
+  // an SMR_CHECK, a malformed file) ends the run with exit 1, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    return fail(e.what());
+  }
 }
