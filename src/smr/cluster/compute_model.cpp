@@ -104,32 +104,35 @@ const std::vector<double>& ComputeModel::solve_cached(
 
   // Raw-input memo: the capacities and flows are pure functions of
   // (node, occ, background, loads), and the node spec is fixed per
-  // instance, so bit-equal raw inputs are guaranteed to reproduce the
-  // previous result without the load -> flow conversion or the solver's
+  // instance, so bit-equal raw inputs are guaranteed to reproduce a
+  // remembered result without the load -> flow conversion or the solver's
   // own cache comparison.
-  if (memo_valid_ && occ.threads == memo_occ_.threads &&
-      occ.io_streams == memo_occ_.io_streams &&
-      occ.memory_demand == memo_occ_.memory_demand &&
-      background.cpu_cores == memo_background_.cpu_cores &&
-      background.disk_rate == memo_background_.disk_rate &&
-      loads.size() == memo_loads_.size() &&
-      std::equal(loads.begin(), loads.end(), memo_loads_.begin(), same_load)) {
+  const MemoEntry* hit = memo_.find([&](const MemoEntry& entry) {
+    return occ.threads == entry.occ.threads && occ.io_streams == entry.occ.io_streams &&
+           occ.memory_demand == entry.occ.memory_demand &&
+           background.cpu_cores == entry.background.cpu_cores &&
+           background.disk_rate == entry.background.disk_rate &&
+           loads.size() == entry.loads.size() &&
+           std::equal(loads.begin(), loads.end(), entry.loads.begin(), same_load);
+  });
+  if (hit != nullptr) {
     ++memo_hits_;
-    return memo_rates_;
+    return hit->rates;
   }
 
   const std::array<double, 2> capacities = capacities_for(node, occ, background);
-  flows_scratch_.resize(loads.size());
+  if (flows_scratch_.size() < loads.size()) flows_scratch_.resize(loads.size());
   for (std::size_t i = 0; i < loads.size(); ++i) {
     load_to_flow(node, loads[i], flows_scratch_[i]);
   }
-  const std::vector<double>& rates = solver_.solve(capacities, flows_scratch_);
-  memo_occ_ = occ;
-  memo_background_ = background;
-  memo_loads_.assign(loads.begin(), loads.end());
-  memo_rates_ = rates;
-  memo_valid_ = true;
-  return memo_rates_;
+  const std::vector<double>& rates =
+      solver_.solve(capacities, std::span(flows_scratch_).first(loads.size()));
+  MemoEntry& entry = memo_.replace();
+  entry.occ = occ;
+  entry.background = background;
+  entry.loads.assign(loads.begin(), loads.end());
+  entry.rates.assign(rates.begin(), rates.end());
+  return entry.rates;
 }
 
 MaxMinSolver::Stats ComputeModel::solver_stats() const {

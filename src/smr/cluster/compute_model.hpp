@@ -26,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "smr/cluster/input_memo.hpp"
 #include "smr/cluster/maxmin.hpp"
 #include "smr/cluster/node.hpp"
 #include "smr/common/types.hpp"
@@ -91,14 +92,15 @@ class ComputeModel {
   /// Same result as solve(), but via a per-instance incremental MaxMinSolver:
   /// when a node's occupancy and loads are unchanged between ticks (the
   /// common steady-execution case) the water-filling pass is skipped
-  /// entirely.  A raw-input memo short-circuits even earlier: if occupancy,
-  /// background and every PhaseLoad compare bit-equal to the previous call,
-  /// the cached rates are returned without converting loads to flows at all
-  /// (identical raw inputs provably produce identical capacities and flows,
-  /// hence the identical cached result).  Assumes the same NodeSpec on
-  /// every call, which holds for the runtime's one-model-per-node layout.
-  /// Keep one instance per simulated node; NOT thread-safe.  The returned
-  /// reference is invalidated by the next call.
+  /// entirely.  A raw-input memo (input_memo.hpp) short-circuits even
+  /// earlier: if occupancy, background and every PhaseLoad compare
+  /// bit-equal to one of the last two distinct inputs, that input's rates
+  /// are returned without converting loads to flows at all (identical raw
+  /// inputs provably produce identical capacities and flows, hence the
+  /// identical result).  Assumes the same NodeSpec on every call, which
+  /// holds for the runtime's one-model-per-node layout.  Keep one instance
+  /// per simulated node; NOT thread-safe.  The returned reference is
+  /// invalidated by the next call.
   const std::vector<double>& solve_cached(const NodeSpec& node, const Occupancy& occ,
                                           const BackgroundLoad& background,
                                           std::span<const PhaseLoad> loads);
@@ -125,14 +127,18 @@ class ComputeModel {
                                               const BackgroundLoad& background);
 
   MaxMinSolver solver_;
+  /// One flow per load in [0, loads.size()); never shrunk, so the `uses`
+  /// buffers beyond the current load count survive for a larger call.
   std::vector<FlowDemand> flows_scratch_;
   std::vector<double> empty_;
   // Raw-input memo (see solve_cached).
-  bool memo_valid_ = false;
-  Occupancy memo_occ_;
-  BackgroundLoad memo_background_;
-  std::vector<PhaseLoad> memo_loads_;
-  std::vector<double> memo_rates_;
+  struct MemoEntry {
+    Occupancy occ;
+    BackgroundLoad background;
+    std::vector<PhaseLoad> loads;
+    std::vector<double> rates;
+  };
+  InputMemo<MemoEntry> memo_;
   std::uint64_t memo_hits_ = 0;
 };
 

@@ -127,7 +127,7 @@ bool MaxMinSolver::cache_usable(std::span<const double> capacities,
                                 bool& caps_only) const {
   caps_only = false;
   if (!valid_) return false;
-  if (capacities.size() != capacities_.size() || flows.size() != flows_.size()) {
+  if (capacities.size() != capacities_.size() || flows.size() != nflows_) {
     return false;
   }
   if (!std::equal(capacities.begin(), capacities.end(), capacities_.begin())) {
@@ -172,7 +172,8 @@ const std::vector<double>& MaxMinSolver::solve(std::span<const double> capacitie
   ++stats_.full_solves;
   capacities_.assign(capacities.begin(), capacities.end());
   // Element-wise copy so each cached FlowDemand's `uses` buffer is reused.
-  flows_.resize(flows.size());
+  if (flows_.size() < flows.size()) flows_.resize(flows.size());
+  nflows_ = flows.size();
   for (std::size_t i = 0; i < flows.size(); ++i) {
     flows_[i].rate_cap = flows[i].rate_cap;
     flows_[i].uses.assign(flows[i].uses.begin(), flows[i].uses.end());
@@ -184,7 +185,8 @@ const std::vector<double>& MaxMinSolver::solve(std::span<const double> capacitie
 
 void MaxMinSolver::waterfill() {
   const std::size_t nr = capacities_.size();
-  const std::size_t nf = flows_.size();
+  const std::size_t nf = nflows_;
+  const std::span<const FlowDemand> flows(flows_.data(), nf);
 
   rates_.assign(nf, 0.0);
   frozen_by_cap_.assign(nf, false);
@@ -202,7 +204,7 @@ void MaxMinSolver::waterfill() {
   // into user_begin_[r], prefix-sum to each list's end, then fill
   // backwards so every entry ends at its list's start.
   user_begin_.assign(nr + 1, 0);
-  for (const auto& flow : flows_) {
+  for (const auto& flow : flows) {
     for (const auto& use : flow.uses) {
       SMR_CHECK_MSG(use.resource >= 0 && static_cast<std::size_t>(use.resource) < nr,
                     "flow uses unknown resource " << use.resource);
@@ -213,7 +215,7 @@ void MaxMinSolver::waterfill() {
   for (std::size_t r = 1; r <= nr; ++r) user_begin_[r] += user_begin_[r - 1];
   users_.resize(user_begin_[nr]);
   for (std::size_t i = 0; i < nf; ++i) {
-    for (const auto& use : flows_[i].uses) {
+    for (const auto& use : flows[i].uses) {
       if (use.weight > 0.0) {
         users_[--user_begin_[static_cast<std::size_t>(use.resource)]] =
             static_cast<std::uint32_t>(i);
@@ -238,7 +240,7 @@ void MaxMinSolver::waterfill() {
   // the identical sequence.
   active_.clear();
   for (std::size_t i = 0; i < nf; ++i) {
-    const auto& flow = flows_[i];
+    const auto& flow = flows[i];
     bool dead = (flow.rate_cap != kNoCap && flow.rate_cap <= 0.0);
     if (dead) frozen_by_cap_[i] = true;
     if (on_empty_[i] != 0) dead = true;
@@ -250,7 +252,7 @@ void MaxMinSolver::waterfill() {
     std::fill(sumw_.begin(), sumw_.end(), 0.0);
     double delta = kInf;
     for (const std::uint32_t i : active_) {
-      const auto& flow = flows_[i];
+      const auto& flow = flows[i];
       if (flow.rate_cap != kNoCap) {
         delta = std::min(delta, flow.rate_cap - rates_[i]);
       }
@@ -279,7 +281,7 @@ void MaxMinSolver::waterfill() {
     const std::size_t before = active_.size();
     std::size_t out = 0;
     for (const std::uint32_t i : active_) {
-      const auto& flow = flows_[i];
+      const auto& flow = flows[i];
       bool freeze = on_empty_[i] != 0;
       if (flow.rate_cap != kNoCap &&
           rates_[i] >= flow.rate_cap - kEps * (1.0 + flow.rate_cap)) {

@@ -100,9 +100,12 @@ class MaxMinSolver {
                     std::span<const FlowDemand> flows, bool& caps_only) const;
   void waterfill();
 
-  // Cached problem + solution.
+  // Cached problem + solution.  The problem is flows_[0, nflows_); the
+  // storage never shrinks, so a smaller tick keeps the `uses` buffers of
+  // the flows beyond it for the next larger one.
   std::vector<double> capacities_;
   std::vector<FlowDemand> flows_;
+  std::size_t nflows_ = 0;
   std::vector<double> rates_;
   /// frozen_by_cap_[i]: flow i's final rate equals (was clamped to) its
   /// cap, so any cap change invalidates it.  Resource-frozen flows admit

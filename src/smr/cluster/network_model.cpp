@@ -93,24 +93,27 @@ const std::vector<double>& NetworkModel::allocate_cached(
 
   // Raw-input memo: capacities and demands are pure functions of (flows,
   // fetch_streams) for the instance's fixed cluster spec, so bit-equal raw
-  // inputs are guaranteed to reproduce the previous result without
+  // inputs are guaranteed to reproduce a remembered result without
   // rebuilding the problem or running the solver's own input comparison.
-  if (memo_valid_ && flows.size() == memo_flows_.size() &&
-      fetch_streams_per_node.size() == memo_streams_.size() &&
-      std::equal(flows.begin(), flows.end(), memo_flows_.begin(), same_flow) &&
-      std::equal(fetch_streams_per_node.begin(), fetch_streams_per_node.end(),
-                 memo_streams_.begin())) {
+  const MemoEntry* hit = memo_.find([&](const MemoEntry& entry) {
+    return flows.size() == entry.flows.size() &&
+           fetch_streams_per_node.size() == entry.streams.size() &&
+           std::equal(flows.begin(), flows.end(), entry.flows.begin(), same_flow) &&
+           std::equal(fetch_streams_per_node.begin(), fetch_streams_per_node.end(),
+                      entry.streams.begin());
+  });
+  if (hit != nullptr) {
     ++memo_hits_;
-    return memo_rates_;
+    return hit->rates;
   }
 
   build_problem(flows, fetch_streams_per_node, /*collapse=*/true, scratch_);
   const std::vector<double>& rates = solver_.solve(scratch_.capacities, scratch_.demands);
-  memo_flows_.assign(flows.begin(), flows.end());
-  memo_streams_.assign(fetch_streams_per_node.begin(), fetch_streams_per_node.end());
-  memo_rates_ = rates;
-  memo_valid_ = true;
-  return memo_rates_;
+  MemoEntry& entry = memo_.replace();
+  entry.flows.assign(flows.begin(), flows.end());
+  entry.streams.assign(fetch_streams_per_node.begin(), fetch_streams_per_node.end());
+  entry.rates.assign(rates.begin(), rates.end());
+  return entry.rates;
 }
 
 }  // namespace smr::cluster

@@ -29,6 +29,7 @@
 #include <span>
 #include <vector>
 
+#include "smr/cluster/input_memo.hpp"
 #include "smr/cluster/maxmin.hpp"
 #include "smr/cluster/node.hpp"
 #include "smr/common/types.hpp"
@@ -63,9 +64,11 @@ class NetworkModel {
   /// MaxMinSolver: unchanged flow sets are answered from the cache, and
   /// shuffle ticks where only the (non-binding, backlog-tracking) rate caps
   /// moved while the network stayed the bottleneck skip the water-filling
-  /// pass too.  A raw-input memo short-circuits even earlier: bit-equal
-  /// (flows, fetch_streams) skip the problem build entirely — the common
-  /// steady-shuffle tick, where every cap is pinned at the fetch cap.
+  /// pass too.  A raw-input memo (input_memo.hpp) short-circuits even
+  /// earlier: (flows, fetch_streams) bit-equal to one of the last two
+  /// distinct inputs skip the problem build entirely — the steady-shuffle
+  /// tick, where every cap is pinned at the fetch cap, and the tick that
+  /// returns to the state of two full solves back.
   /// NOT thread-safe; the returned reference is invalidated by the next
   /// call.
   const std::vector<double>& allocate_cached(std::span<const NetFlow> flows,
@@ -86,6 +89,11 @@ class NetworkModel {
   /// one across calls.
   struct Problem {
     std::vector<double> capacities;
+    /// One per flow.  Unlike the solver's and the compute model's scratch
+    /// this one is resized to the flow count: a diffuse flow lists every
+    /// point-to-point source port, and keeping those long `uses` buffers
+    /// past the tick that needed them raised peak RSS by ~7 % on a
+    /// 256-node cluster (docs/PERF.md §6).
     std::vector<FlowDemand> demands;
     /// Transmit-port resources every diffuse flow lists, ascending.
     std::vector<int> diffuse_ports;
@@ -108,10 +116,12 @@ class NetworkModel {
   Problem scratch_;
   std::vector<double> empty_;
   // Raw-input memo (see allocate_cached).
-  bool memo_valid_ = false;
-  std::vector<NetFlow> memo_flows_;
-  std::vector<int> memo_streams_;
-  std::vector<double> memo_rates_;
+  struct MemoEntry {
+    std::vector<NetFlow> flows;
+    std::vector<int> streams;
+    std::vector<double> rates;
+  };
+  InputMemo<MemoEntry> memo_;
   std::uint64_t memo_hits_ = 0;
 };
 

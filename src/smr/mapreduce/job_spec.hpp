@@ -14,12 +14,27 @@
 //                 REDUCE (user reduce fn + replicated output write).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "smr/common/error.hpp"
 #include "smr/common/types.hpp"
 
 namespace smr::mapreduce {
+
+/// Most map tasks, and most reduce tasks, one job may have;
+/// JobSpec::validate() rejects larger jobs with a message.  A job's task
+/// records, block placement and tick scratch all grow with its task
+/// counts, and unbounded sizes (a hostile `input_gib=1e9` workload row)
+/// would otherwise run the process out of memory.  2^20 maps is 128 TiB
+/// at the default 128 MiB split, some 4 000 times the paper's largest job;
+/// a job at the cap takes about 220 MB.
+inline constexpr std::int64_t kMaxTasks = std::int64_t{1} << 20;
+
+/// The largest input, in GiB, whose map count stays within kMaxTasks at
+/// the default split size: the bound job-list readers check before
+/// converting a size to bytes.
+inline constexpr double kMaxInputGib = static_cast<double>(kMaxTasks) * 128.0 / 1024.0;
 
 struct JobSpec {
   std::string name = "job";
@@ -124,8 +139,10 @@ struct JobSpec {
   SimTime relative_deadline = kTimeNever;
 
   // --- Derived --------------------------------------------------------
-  int map_task_count() const {
-    return static_cast<int>((input_size + split_size - 1) / split_size);
+  int map_task_count() const { return static_cast<int>(map_task_count_wide()); }
+  /// map_task_count() before the narrowing validate() guards.
+  std::int64_t map_task_count_wide() const {
+    return input_size / split_size + (input_size % split_size != 0 ? 1 : 0);
   }
   Bytes map_output_total() const {
     return static_cast<Bytes>(static_cast<double>(input_size) * map_selectivity);
@@ -141,7 +158,13 @@ struct JobSpec {
 
   void validate() const {
     SMR_CHECK(input_size > 0 && split_size > 0);
+    SMR_CHECK_MSG(map_task_count_wide() <= kMaxTasks,
+                  "job '" << name << "' needs " << map_task_count_wide()
+                          << " map tasks; the cap is " << kMaxTasks);
     SMR_CHECK(reduce_tasks >= 1);
+    SMR_CHECK_MSG(reduce_tasks <= kMaxTasks,
+                  "job '" << name << "' has " << reduce_tasks
+                          << " reduce tasks; the cap is " << kMaxTasks);
     SMR_CHECK(map_cpu_per_mib > 0 && reduce_cpu_per_mib >= 0);
     SMR_CHECK(map_selectivity >= 0 && reduce_selectivity >= 0);
     SMR_CHECK(spill_disk_factor >= 0 && sort_disk_factor >= 0);

@@ -288,7 +288,14 @@ metrics::RunResult Runtime::run() {
   const cluster::MaxMinSolver::Stats solver = solver_stats();
   result_.solver_calls = solver.calls;
   result_.solver_full_solves = solver.full_solves;
-  return result_;
+  // run() is single use, so the result moves out, trimmed to size.  A
+  // copy held a serving run's per-job records, progress series and slot
+  // timeline in memory twice while the sinks were written; an untrimmed
+  // move would keep the vectors' growth slack in every result a sweep or
+  // suite holds on to.
+  result_.slots.shrink_to_fit();
+  for (auto& progress : result_.progress) progress.shrink_to_fit();
+  return std::move(result_);
 }
 
 ClusterStats Runtime::snapshot() const {
@@ -1017,7 +1024,8 @@ void Runtime::complete_map(Job& job, MapTask& task, TaskId attempt_id) {
   task.phase = MapPhase::kDone;
   task.finish_time = engine_.now();
   if (metrics_ != nullptr) {
-    metrics_->histogram("task.map_duration_s", obs::kDurationBounds)
+    obs::bind(instruments_.map_duration, *metrics_, "task.map_duration_s",
+              obs::kDurationBounds)
         .observe(task.finish_time - task.start_time);
   }
   trace_event(metrics::TraceEventKind::kTaskFinished, job.id, task.id,
@@ -1086,7 +1094,8 @@ void Runtime::complete_reduce(Job& job, ReduceTask& task, TaskId attempt_id) {
   task.phase = ReducePhase::kDone;
   task.finish_time = engine_.now();
   if (metrics_ != nullptr) {
-    metrics_->histogram("task.reduce_duration_s", obs::kDurationBounds)
+    obs::bind(instruments_.reduce_duration, *metrics_, "task.reduce_duration_s",
+              obs::kDurationBounds)
         .observe(task.finish_time - task.start_time);
   }
   trace_event(metrics::TraceEventKind::kTaskFinished, job.id, task.id,
@@ -1174,7 +1183,9 @@ void Runtime::on_heartbeat(std::size_t tracker_index) {
   const int prev_reduce_total = trace_ != nullptr ? total_reduce_target() : 0;
   policy_->on_heartbeat(tracker, stats);
   if (trace_ != nullptr) trace_slot_targets(prev_map_total, prev_reduce_total);
-  if (metrics_ != nullptr) metrics_->counter("heartbeats.processed").inc();
+  if (metrics_ != nullptr) {
+    obs::bind(instruments_.heartbeats, *metrics_, "heartbeats.processed").inc();
+  }
   // A blacklisted tracker still heartbeats (its statistics stay fresh and
   // running tasks drain lazily) but takes no new assignments.
   if (tracker.blacklisted()) return;
@@ -1314,7 +1325,9 @@ void Runtime::fail_node(NodeId node) {
   node_alive_[static_cast<std::size_t>(node)] = false;
   trace_event(metrics::TraceEventKind::kNodeFailed, kInvalidJob, kInvalidTask,
               node, true);
-  if (metrics_ != nullptr) metrics_->counter("nodes.failed").inc();
+  if (metrics_ != nullptr) {
+    obs::bind(instruments_.nodes_failed, *metrics_, "nodes.failed").inc();
+  }
   TaskTracker& tracker = trackers_[static_cast<std::size_t>(node)];
   SMR_WARN("node " << node << " failed at " << format_duration(engine_.now()));
 
@@ -1411,7 +1424,9 @@ void Runtime::recover_node(NodeId node) {
   ++nodes_recovered_;
   trace_event(metrics::TraceEventKind::kNodeRecovered, kInvalidJob,
               kInvalidTask, node, true);
-  if (metrics_ != nullptr) metrics_->counter("nodes.recovered").inc();
+  if (metrics_ != nullptr) {
+    obs::bind(instruments_.nodes_recovered, *metrics_, "nodes.recovered").inc();
+  }
   SMR_INFO("node " << node << " recovered at " << format_duration(engine_.now()));
   // Resume the heartbeat on this tracker's original stagger grid, at the
   // first grid point after the recovery instant.  The parked periodic
@@ -1481,7 +1496,10 @@ void Runtime::fail_map_attempt(TaskId id) {
   const NodeId node = map_task(id).node;
   ++task_attempt_failures_;
   ++primary.failed_attempts;
-  if (metrics_ != nullptr) metrics_->counter("tasks.map_attempt_failures").inc();
+  if (metrics_ != nullptr) {
+    obs::bind(instruments_.map_attempt_failures, *metrics_, "tasks.map_attempt_failures")
+        .inc();
+  }
   trace_event(metrics::TraceEventKind::kTaskAttemptFailed, job.id, id, node,
               true, ref.speculative ? "injected-speculative" : "injected",
               static_cast<double>(primary.failed_attempts));
@@ -1496,7 +1514,9 @@ void Runtime::fail_map_attempt(TaskId id) {
   } else if (primary.failed_attempts < config_.max_attempts) {
     requeue_running_map(primary);  // emits TASK_KILLED, frees the slot
     ++task_retries_;
-    if (metrics_ != nullptr) metrics_->counter("tasks.retries").inc();
+    if (metrics_ != nullptr) {
+      obs::bind(instruments_.retries, *metrics_, "tasks.retries").inc();
+    }
   }
   record_attempt_failure_on(node);
   if (primary.failed_attempts >= config_.max_attempts) {
@@ -1516,7 +1536,9 @@ void Runtime::fail_reduce_attempt(TaskId id) {
   ++task_attempt_failures_;
   ++primary.failed_attempts;
   if (metrics_ != nullptr) {
-    metrics_->counter("tasks.reduce_attempt_failures").inc();
+    obs::bind(instruments_.reduce_attempt_failures, *metrics_,
+              "tasks.reduce_attempt_failures")
+        .inc();
   }
   trace_event(metrics::TraceEventKind::kTaskAttemptFailed, job.id, id, node,
               false, ref.speculative ? "injected-speculative" : "injected",
@@ -1528,7 +1550,9 @@ void Runtime::fail_reduce_attempt(TaskId id) {
   } else if (primary.failed_attempts < config_.max_attempts) {
     requeue_running_reduce(primary);
     ++task_retries_;
-    if (metrics_ != nullptr) metrics_->counter("tasks.retries").inc();
+    if (metrics_ != nullptr) {
+      obs::bind(instruments_.retries, *metrics_, "tasks.retries").inc();
+    }
   }
   record_attempt_failure_on(node);
   if (primary.failed_attempts >= config_.max_attempts) {
@@ -1557,7 +1581,9 @@ void Runtime::record_attempt_failure_on(NodeId node) {
   trace_event(metrics::TraceEventKind::kNodeBlacklisted, kInvalidJob,
               kInvalidTask, node, true, "",
               static_cast<double>(node_attempt_failures_[n]));
-  if (metrics_ != nullptr) metrics_->counter("nodes.blacklisted").inc();
+  if (metrics_ != nullptr) {
+    obs::bind(instruments_.nodes_blacklisted, *metrics_, "nodes.blacklisted").inc();
+  }
   SMR_WARN("node " << node << " blacklisted after " << node_attempt_failures_[n]
                    << " attempt failures at " << format_duration(engine_.now()));
 }
@@ -1583,7 +1609,9 @@ void Runtime::fail_job(Job& job, std::string reason) {
   trace_event(metrics::TraceEventKind::kJobFailed, job.id, kInvalidTask,
               kInvalidNode, true, job.failure_reason.c_str());
   span_job_finished(job, obs::SpanOutcome::kFailed);
-  if (metrics_ != nullptr) metrics_->counter("jobs.failed").inc();
+  if (metrics_ != nullptr) {
+    obs::bind(instruments_.jobs_failed, *metrics_, "jobs.failed").inc();
+  }
   if (on_job_finished_) on_job_finished_(job);
   check_all_done();  // this may have been the last unfinished job
 }
@@ -1599,7 +1627,9 @@ void Runtime::on_policy_period() {
   policy_->on_period(trackers(), snapshot());
 
   span_refresh_decisions();
-  if (metrics_ != nullptr) metrics_->counter("policy.periods").inc();
+  if (metrics_ != nullptr) {
+    obs::bind(instruments_.policy_periods, *metrics_, "policy.periods").inc();
+  }
   if (trace_ != nullptr) {
     trace_slot_targets(prev_map_total, prev_reduce_total);
     // Mirror freshly appended audit records into the trace so Perfetto
@@ -2092,10 +2122,13 @@ void Runtime::record_metric_samples(SimTime now) {
     running_maps += tracker.running_maps();
     running_reduces += tracker.running_reduces();
   }
-  metrics_->series("slots.map_target").append(now, map_target);
-  metrics_->series("slots.reduce_target").append(now, reduce_target);
-  metrics_->series("tasks.running_maps").append(now, running_maps);
-  metrics_->series("tasks.running_reduces").append(now, running_reduces);
+  obs::MetricsRegistry& registry = *metrics_;
+  Instruments& in = instruments_;
+  obs::bind(in.map_target, registry, "slots.map_target").append(now, map_target);
+  obs::bind(in.reduce_target, registry, "slots.reduce_target").append(now, reduce_target);
+  obs::bind(in.running_maps, registry, "tasks.running_maps").append(now, running_maps);
+  obs::bind(in.running_reduces, registry, "tasks.running_reduces")
+      .append(now, running_reduces);
   double pending_maps = 0.0;
   double pending_reduces = 0.0;
   double shuffle_backlog = 0.0;
@@ -2109,9 +2142,11 @@ void Runtime::record_metric_samples(SimTime now) {
       }
     }
   }
-  metrics_->series("queue.pending_maps").append(now, pending_maps);
-  metrics_->series("queue.pending_reduces").append(now, pending_reduces);
-  metrics_->series("shuffle.bytes_in_flight").append(now, shuffle_backlog);
+  obs::bind(in.pending_maps, registry, "queue.pending_maps").append(now, pending_maps);
+  obs::bind(in.pending_reduces, registry, "queue.pending_reduces")
+      .append(now, pending_reduces);
+  obs::bind(in.shuffle_in_flight, registry, "shuffle.bytes_in_flight")
+      .append(now, shuffle_backlog);
 }
 
 void Runtime::trace_event(metrics::TraceEventKind kind, JobId job, TaskId task,
@@ -2122,12 +2157,14 @@ void Runtime::trace_event(metrics::TraceEventKind kind, JobId job, TaskId task,
   if (metrics_ != nullptr) {
     switch (kind) {
       case metrics::TraceEventKind::kTaskLaunched:
-        metrics_
-            ->counter(is_map ? "tasks.map_launches" : "tasks.reduce_launches")
-            .inc();
+        if (is_map) {
+          obs::bind(instruments_.map_launches, *metrics_, "tasks.map_launches").inc();
+        } else {
+          obs::bind(instruments_.reduce_launches, *metrics_, "tasks.reduce_launches").inc();
+        }
         break;
       case metrics::TraceEventKind::kTaskKilled:
-        metrics_->counter("tasks.kills").inc();
+        obs::bind(instruments_.kills, *metrics_, "tasks.kills").inc();
         break;
       default:
         break;

@@ -209,7 +209,10 @@ class Runtime {
   /// flight), control-plane counters (heartbeats, policy periods, task
   /// launches/kills) and task-duration histograms.  Metric names are
   /// documented in docs/OBSERVABILITY.md.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  void set_metrics(obs::MetricsRegistry* metrics) {
+    metrics_ = metrics;
+    instruments_ = {};
+  }
 
   /// Attach a span log (optional; must outlive run()).  The runtime then
   /// records the causal span tree — run > job > phase (map waves, shuffle,
@@ -749,6 +752,31 @@ class Runtime {
   metrics::RunResult result_;
   metrics::TraceLog* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
+  /// metrics_'s instruments, bound on first use (obs::bind) so the hot
+  /// paths skip the name lookup while the registered set stays the same.
+  struct Instruments {
+    obs::Histogram* map_duration = nullptr;
+    obs::Histogram* reduce_duration = nullptr;
+    obs::Counter* heartbeats = nullptr;
+    obs::Counter* nodes_failed = nullptr;
+    obs::Counter* nodes_recovered = nullptr;
+    obs::Counter* nodes_blacklisted = nullptr;
+    obs::Counter* map_attempt_failures = nullptr;
+    obs::Counter* reduce_attempt_failures = nullptr;
+    obs::Counter* retries = nullptr;
+    obs::Counter* jobs_failed = nullptr;
+    obs::Counter* policy_periods = nullptr;
+    obs::Counter* map_launches = nullptr;
+    obs::Counter* reduce_launches = nullptr;
+    obs::Counter* kills = nullptr;
+    obs::Series* map_target = nullptr;
+    obs::Series* reduce_target = nullptr;
+    obs::Series* running_maps = nullptr;
+    obs::Series* running_reduces = nullptr;
+    obs::Series* pending_maps = nullptr;
+    obs::Series* pending_reduces = nullptr;
+    obs::Series* shuffle_in_flight = nullptr;
+  } instruments_;
   // --- Span-recording state (inert while spans_ == nullptr) ------------
   obs::SpanLog* spans_ = nullptr;
   obs::SpanId run_span_ = obs::kInvalidSpan;

@@ -1,8 +1,10 @@
 #include "smr/obs/metrics_registry.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
 #include <ostream>
+#include <string_view>
 
 #include "smr/common/csv.hpp"
 #include "smr/common/error.hpp"
@@ -214,56 +216,116 @@ std::vector<std::string> MetricsRegistry::names() const {
   return out;
 }
 
+namespace {
+
+/// Formats sink lines into a local buffer and hands them to the stream in
+/// large chunks.  Numbers go through std::to_chars: integers exactly and
+/// doubles in general format with precision 6, which is %.6g — the bytes
+/// `ostream << value` writes with default flags (nan, inf and exponents
+/// included).
+class SinkBuffer {
+ public:
+  explicit SinkBuffer(std::ostream& out) : out_(out) { buf_.reserve(kFlushAt + 1024); }
+  SinkBuffer(const SinkBuffer&) = delete;
+  SinkBuffer& operator=(const SinkBuffer&) = delete;
+  ~SinkBuffer() { flush(); }
+
+  SinkBuffer& operator<<(std::string_view text) {
+    buf_.append(text);
+    return *this;
+  }
+  SinkBuffer& operator<<(char c) {
+    buf_.push_back(c);
+    return *this;
+  }
+  SinkBuffer& operator<<(double value) {
+    char digits[32];
+    const auto result = std::to_chars(digits, digits + sizeof digits, value,
+                                      std::chars_format::general, 6);
+    buf_.append(digits, result.ptr);
+    return *this;
+  }
+  SinkBuffer& operator<<(std::int64_t value) {
+    char digits[24];
+    const auto result = std::to_chars(digits, digits + sizeof digits, value);
+    buf_.append(digits, result.ptr);
+    return *this;
+  }
+
+  /// Ends a line; passes the buffer on once it is large.
+  void end_line() {
+    buf_.push_back('\n');
+    if (buf_.size() >= kFlushAt) flush();
+  }
+
+ private:
+  static constexpr std::size_t kFlushAt = 64 * 1024;
+
+  void flush() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+  }
+
+  std::ostream& out_;
+  std::string buf_;
+};
+
+}  // namespace
+
 void MetricsRegistry::write_jsonl(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mutex_);
+  SinkBuffer sink(out);
   for (const auto& [name, inst] : instruments_) {
+    const std::string quoted = '"' + escape_json(name) + '"';
     if (inst.counter) {
-      out << "{\"type\":\"counter\",\"name\":";
-      write_json_string(out, name);
-      out << ",\"value\":" << inst.counter->value() << "}\n";
+      sink << "{\"type\":\"counter\",\"name\":" << quoted << ",\"value\":"
+           << inst.counter->value() << '}';
+      sink.end_line();
     } else if (inst.gauge) {
-      out << "{\"type\":\"gauge\",\"name\":";
-      write_json_string(out, name);
-      out << ",\"value\":" << inst.gauge->value() << "}\n";
+      sink << "{\"type\":\"gauge\",\"name\":" << quoted << ",\"value\":"
+           << inst.gauge->value() << '}';
+      sink.end_line();
     } else if (inst.histogram) {
       const Histogram& h = *inst.histogram;
-      out << "{\"type\":\"histogram\",\"name\":";
-      write_json_string(out, name);
-      out << ",\"count\":" << h.total_count() << ",\"sum\":" << h.sum()
-          << ",\"bounds\":[";
+      sink << "{\"type\":\"histogram\",\"name\":" << quoted << ",\"count\":"
+           << h.total_count() << ",\"sum\":" << h.sum() << ",\"bounds\":[";
       for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-        if (i) out << ',';
-        out << h.bounds()[i];
+        if (i) sink << ',';
+        sink << h.bounds()[i];
       }
-      out << "],\"buckets\":[";
+      sink << "],\"buckets\":[";
       for (std::size_t i = 0; i <= h.bounds().size(); ++i) {
-        if (i) out << ',';
-        out << h.bucket_count(i);
+        if (i) sink << ',';
+        sink << h.bucket_count(i);
       }
-      out << "]";
+      sink << ']';
       if (h.total_count() > 0) {
-        out << ",\"p50\":" << h.p50() << ",\"p95\":" << h.p95()
-            << ",\"p99\":" << h.p99();
+        sink << ",\"p50\":" << h.p50() << ",\"p95\":" << h.p95() << ",\"p99\":" << h.p99();
       }
-      out << "}\n";
+      sink << '}';
+      sink.end_line();
     } else if (inst.series) {
-      for (const auto& sample : inst.series->samples()) {
-        out << "{\"type\":\"series\",\"name\":";
-        write_json_string(out, name);
-        out << ",\"t\":" << sample.time << ",\"v\":" << sample.value << "}\n";
-      }
+      const std::string prefix = "{\"type\":\"series\",\"name\":" + quoted + ",\"t\":";
+      inst.series->for_each([&](const Series::Sample& sample) {
+        sink << prefix << sample.time << ",\"v\":" << sample.value << '}';
+        sink.end_line();
+      });
     }
   }
 }
 
 void MetricsRegistry::write_series_csv(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  out << "name,time,value\n";
+  SinkBuffer sink(out);
+  sink << "name,time,value";
+  sink.end_line();
   for (const auto& [name, inst] : instruments_) {
     if (!inst.series) continue;
-    for (const auto& sample : inst.series->samples()) {
-      out << csv_quote(name) << ',' << sample.time << ',' << sample.value << '\n';
-    }
+    const std::string quoted = csv_quote(name);
+    inst.series->for_each([&](const Series::Sample& sample) {
+      sink << quoted << ',' << sample.time << ',' << sample.value;
+      sink.end_line();
+    });
   }
 }
 

@@ -103,6 +103,14 @@ class Series {
   std::vector<Sample> samples() const;
   std::size_t size() const;
 
+  /// Calls visit(sample) for every sample in order under the series lock,
+  /// without copying them out; `visit` must not touch this series.
+  template <class Visit>
+  void for_each(Visit&& visit) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const Sample& sample : samples_) visit(sample);
+  }
+
  private:
   mutable std::mutex mutex_;
   std::vector<Sample> samples_;
@@ -132,6 +140,8 @@ class MetricsRegistry {
 
   /// JSON-lines dump: one object per counter/gauge/histogram and one per
   /// series *sample* ({"type":"series","name":...,"t":...,"v":...}).
+  /// Numbers are written as `out << value` with default flags would write
+  /// them: integers exactly, doubles as %.6g.
   void write_jsonl(std::ostream& out) const;
 
   /// All series flattened to CSV: name,time,value (name CSV-quoted).
@@ -151,6 +161,24 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, Instrument> instruments_;  // sorted for stable output
 };
+
+/// Bind-on-first-use instrument handles for hot paths.  The first call
+/// looks the instrument up by name, which registers it exactly when a
+/// direct lookup would have; later calls skip the lookup and the registry
+/// mutex.  Reset a handle to nullptr when its owner changes registry.
+inline Counter& bind(Counter*& handle, MetricsRegistry& registry, const char* name) {
+  if (handle == nullptr) handle = &registry.counter(name);
+  return *handle;
+}
+inline Series& bind(Series*& handle, MetricsRegistry& registry, const char* name) {
+  if (handle == nullptr) handle = &registry.series(name);
+  return *handle;
+}
+inline Histogram& bind(Histogram*& handle, MetricsRegistry& registry, const char* name,
+                       const std::vector<double>& bounds) {
+  if (handle == nullptr) handle = &registry.histogram(name, bounds);
+  return *handle;
+}
 
 /// Canonical key for a labeled metric: `name{k1="v1",...}` with keys in
 /// map (i.e. sorted) order; `name` unchanged when labels are empty.

@@ -84,6 +84,8 @@ double parse_number(const std::string& text, int line_number, const char* what) 
   SMR_CHECK_MSG(end != nullptr && *end == '\0' && !text.empty(),
                 "arrivals csv line " << line_number << ": bad " << what << " '"
                                      << text << "'");
+  SMR_CHECK_MSG(std::isfinite(value), "arrivals csv line " << line_number << ": " << what
+                                                  << " must be finite, got '" << text << "'");
   return value;
 }
 
@@ -126,6 +128,10 @@ ArrivalTrace parse_arrivals_csv(std::istream& in) {
     const double input_gib = parse_number(fields[2], line_number, "input_gib");
     SMR_CHECK_MSG(input_gib > 0.0,
                   "arrivals csv line " << line_number << ": input_gib must be > 0");
+    SMR_CHECK_MSG(input_gib <= mapreduce::kMaxInputGib,
+                  "arrivals csv line " << line_number << ": input_gib " << input_gib
+                                   << " exceeds " << mapreduce::kMaxInputGib << " ("
+                                   << mapreduce::kMaxTasks << " map tasks)");
     arrival.job.spec = workload::make_puma_job(
         *bench, static_cast<Bytes>(input_gib * static_cast<double>(kGiB)));
     arrival.job.submit_at = parse_number(fields[3], line_number, "arrive_at");

@@ -68,6 +68,7 @@ ServeReport ServeSession::execute(ArrivalTrace trace,
   SMR_CHECK_MSG(!trace.arrivals.empty(), "empty arrival stream");
   trace_ = std::move(trace);
   metrics_ = metrics != nullptr ? metrics : &own_metrics_;
+  instruments_.burn_rate.assign(trace_.tenants.size(), nullptr);
 
   driver::ExperimentConfig experiment = config_.experiment;
   experiment.runtime.seed = config_.seed;
@@ -109,7 +110,7 @@ ServeReport ServeSession::execute(ArrivalTrace trace,
   for (std::size_t index : deferred_) {
     const Arrival& arrival = trace_.arrivals[index];
     tracker_->record_shed(arrival.tenant, arrival.job.submit_at);
-    metrics_->counter("serve.jobs_shed").inc();
+    obs::bind(instruments_.shed, *metrics_, "serve.jobs_shed").inc();
   }
 
   ServeReport report;
@@ -131,32 +132,32 @@ ServeReport ServeSession::execute(ArrivalTrace trace,
 
 void ServeSession::on_arrival(std::size_t index) {
   const Arrival& arrival = trace_.arrivals[index];
-  metrics_->counter("serve.jobs_arrived").inc();
+  obs::bind(instruments_.arrived, *metrics_, "serve.jobs_arrived").inc();
   tracker_->record_arrival(arrival.tenant, arrival.job.submit_at);
 
   if (runtime_->stopped()) {
     // The run aborted (e.g. every node died); nothing can be admitted.
     tracker_->record_shed(arrival.tenant, arrival.job.submit_at);
-    metrics_->counter("serve.jobs_shed").inc();
+    obs::bind(instruments_.shed, *metrics_, "serve.jobs_shed").inc();
     return;
   }
 
   switch (admission_.on_arrival()) {
     case AdmissionDecision::kAdmit:
-      metrics_->counter("serve.jobs_admitted").inc();
+      obs::bind(instruments_.admitted, *metrics_, "serve.jobs_admitted").inc();
       submit_arrival(index);
       break;
     case AdmissionDecision::kDefer:
       deferred_.push_back(index);
       tracker_->record_deferred(arrival.tenant, arrival.job.submit_at);
-      metrics_->counter("serve.jobs_deferred").inc();
-      metrics_->series("serve.queue_depth")
+      obs::bind(instruments_.deferred, *metrics_, "serve.jobs_deferred").inc();
+      obs::bind(instruments_.queue_depth, *metrics_, "serve.queue_depth")
           .append(runtime_->engine().now(),
                   static_cast<double>(admission_.pending()));
       break;
     case AdmissionDecision::kShed:
       tracker_->record_shed(arrival.tenant, arrival.job.submit_at);
-      metrics_->counter("serve.jobs_shed").inc();
+      obs::bind(instruments_.shed, *metrics_, "serve.jobs_shed").inc();
       break;
   }
 }
@@ -176,7 +177,7 @@ void ServeSession::submit_arrival(std::size_t index) {
 
   const JobId id = runtime_->submit(spec, now);
   admitted_[id] = JobInfo{arrival.tenant, arrival.job.submit_at};
-  metrics_->series("serve.jobs_in_system")
+  obs::bind(instruments_.jobs_in_system, *metrics_, "serve.jobs_in_system")
       .append(now, static_cast<double>(admission_.in_system()));
 }
 
@@ -194,16 +195,17 @@ void ServeSession::on_job_finished(const mapreduce::Job& job) {
   tracker_->record_outcome(info.tenant, info.arrived, job.finish_time, service,
                            job.deadline, job.failed);
   if (job.failed) {
-    metrics_->counter("serve.jobs_failed").inc();
+    obs::bind(instruments_.failed, *metrics_, "serve.jobs_failed").inc();
   } else {
-    metrics_->counter("serve.jobs_completed").inc();
-    metrics_->histogram("serve.latency_s", kLatencyBounds)
+    obs::bind(instruments_.completed, *metrics_, "serve.jobs_completed").inc();
+    obs::bind(instruments_.latency, *metrics_, "serve.latency_s", kLatencyBounds)
         .observe(job.finish_time - info.arrived);
     if (job.deadline != kTimeNever) {
-      metrics_
-          ->counter(job.finish_time <= job.deadline ? "serve.slo_met"
-                                                    : "serve.slo_missed")
-          .inc();
+      if (job.finish_time <= job.deadline) {
+        obs::bind(instruments_.slo_met, *metrics_, "serve.slo_met").inc();
+      } else {
+        obs::bind(instruments_.slo_missed, *metrics_, "serve.slo_missed").inc();
+      }
     }
   }
   if (job.deadline != kTimeNever) {
@@ -218,12 +220,14 @@ void ServeSession::on_job_finished(const mapreduce::Job& job) {
 
 void ServeSession::record_burn(int tenant, SimTime now, bool slo_met) {
   const std::optional<BurnAlert> alert = burn_->record(tenant, now, slo_met);
-  metrics_
-      ->series("serve.burn_rate",
-               {{"tenant", trace_.tenants[static_cast<std::size_t>(tenant)]}})
-      .append(now, burn_->burn_rate(tenant));
+  obs::Series*& burn_series = instruments_.burn_rate[static_cast<std::size_t>(tenant)];
+  if (burn_series == nullptr) {
+    burn_series = &metrics_->series(
+        "serve.burn_rate", {{"tenant", trace_.tenants[static_cast<std::size_t>(tenant)]}});
+  }
+  burn_series->append(now, burn_->burn_rate(tenant));
   if (!alert) return;
-  metrics_->counter("serve.slo_alerts").inc();
+  obs::bind(instruments_.slo_alerts, *metrics_, "serve.slo_alerts").inc();
   if (trace_log_ != nullptr) {
     metrics::TraceEvent event;
     event.time = alert->time;
@@ -240,13 +244,13 @@ void ServeSession::process_departure() {
     const std::size_t index = deferred_.front();
     deferred_.pop_front();
     admission_.on_deferred_admitted();
-    metrics_->counter("serve.jobs_admitted").inc();
-    metrics_->series("serve.queue_depth")
+    obs::bind(instruments_.admitted, *metrics_, "serve.jobs_admitted").inc();
+    obs::bind(instruments_.queue_depth, *metrics_, "serve.queue_depth")
         .append(runtime_->engine().now(),
                 static_cast<double>(admission_.pending()));
     submit_arrival(index);
   }
-  metrics_->series("serve.jobs_in_system")
+  obs::bind(instruments_.jobs_in_system, *metrics_, "serve.jobs_in_system")
       .append(runtime_->engine().now(),
               static_cast<double>(admission_.in_system()));
   maybe_close();

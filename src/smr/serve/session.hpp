@@ -157,6 +157,23 @@ class ServeSession {
   AdmissionController admission_;
   obs::MetricsRegistry own_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
+  /// metrics_'s serve.* instruments, bound on first use (obs::bind).
+  struct Instruments {
+    obs::Counter* arrived = nullptr;
+    obs::Counter* admitted = nullptr;
+    obs::Counter* deferred = nullptr;
+    obs::Counter* shed = nullptr;
+    obs::Counter* completed = nullptr;
+    obs::Counter* failed = nullptr;
+    obs::Counter* slo_met = nullptr;
+    obs::Counter* slo_missed = nullptr;
+    obs::Counter* slo_alerts = nullptr;
+    obs::Histogram* latency = nullptr;
+    obs::Series* queue_depth = nullptr;
+    obs::Series* jobs_in_system = nullptr;
+    /// serve.burn_rate{tenant=...}, one per tenant.
+    std::vector<obs::Series*> burn_rate;
+  } instruments_;
   std::unordered_map<JobId, JobInfo> admitted_;
   std::deque<std::size_t> deferred_;
   metrics::RunResult result_;

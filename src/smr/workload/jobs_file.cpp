@@ -1,5 +1,6 @@
 #include "smr/workload/jobs_file.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
@@ -33,6 +34,8 @@ double parse_number(const std::string& text, int line_number, const char* what) 
   SMR_CHECK_MSG(end != nullptr && *end == '\0' && !text.empty(),
                 "jobs csv line " << line_number << ": bad " << what << " '"
                                  << text << "'");
+  SMR_CHECK_MSG(std::isfinite(value), "jobs csv line " << line_number << ": " << what
+                                                  << " must be finite, got '" << text << "'");
   return value;
 }
 
@@ -60,6 +63,10 @@ std::vector<TimedJob> parse_jobs_csv(std::istream& in) {
     const double input_gib = parse_number(fields[1], line_number, "input_gib");
     SMR_CHECK_MSG(input_gib > 0.0,
                   "jobs csv line " << line_number << ": input_gib must be > 0");
+    SMR_CHECK_MSG(input_gib <= mapreduce::kMaxInputGib,
+                  "jobs csv line " << line_number << ": input_gib " << input_gib
+                                   << " exceeds " << mapreduce::kMaxInputGib << " ("
+                                   << mapreduce::kMaxTasks << " map tasks)");
     const double submit_at = parse_number(fields[2], line_number, "submit_at");
     SMR_CHECK_MSG(submit_at >= 0.0,
                   "jobs csv line " << line_number << ": submit_at must be >= 0");
@@ -70,8 +77,9 @@ std::vector<TimedJob> parse_jobs_csv(std::istream& in) {
     job.submit_at = submit_at;
     if (fields.size() == 4) {
       const double reduce_tasks = parse_number(fields[3], line_number, "reduce_tasks");
-      SMR_CHECK_MSG(reduce_tasks >= 1.0,
-                    "jobs csv line " << line_number << ": reduce_tasks must be >= 1");
+      SMR_CHECK_MSG(reduce_tasks >= 1.0 && reduce_tasks <= mapreduce::kMaxTasks,
+                    "jobs csv line " << line_number << ": reduce_tasks must be in [1, "
+                                     << mapreduce::kMaxTasks << "]");
       job.spec.reduce_tasks = static_cast<int>(reduce_tasks);
     }
     jobs.push_back(std::move(job));

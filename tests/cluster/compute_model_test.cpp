@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "smr/common/rng.hpp"
 #include "smr/workload/puma.hpp"
 
 namespace smr::cluster {
@@ -244,6 +247,96 @@ TEST(ThrashingOrder, ResidentReducersLowerTheMapHump) {
     return best;
   };
   EXPECT_LE(hump_with_reducers(2), hump_with_reducers(0));
+}
+
+// Two-entry raw-input memo on the per-node solve.  Inputs of distinct load
+// counts, so every memo miss is a full solve.
+struct ComputeInput {
+  Occupancy occ;
+  BackgroundLoad background;
+  std::vector<PhaseLoad> loads;
+};
+
+std::vector<ComputeInput> compute_memo_pool() {
+  const double mib = static_cast<double>(kMiB);
+  const PhaseLoad map{0.2 / mib, 1.0, kNoCap, 1.0};
+  const PhaseLoad spill{0.05 / mib, 2.5, kNoCap, 1.0};
+  const PhaseLoad remote{0.2 / mib, 0.0, 30.0 * mib, 1.0};
+  const PhaseLoad reduce{0.1 / mib, 1.3, kNoCap, 1.0};
+  return {
+      {{2, 2, 4 * kGiB}, {}, {map, spill}},
+      {{5, 4, 9 * kGiB}, {0.5, 20.0 * mib}, {map, map, remote, reduce, spill}},
+      {{3, 3, 6 * kGiB}, {0.25, 0.0}, {remote, reduce, map}},
+      {{9, 9, 30 * kGiB}, {}, {map, map, map, map, map, map, map, map, map}},
+  };
+}
+
+std::uint64_t replay_compute_sequence(ComputeModel& model, const std::vector<int>& sequence) {
+  const NodeSpec node = paper_node();
+  const auto pool = compute_memo_pool();
+  std::vector<int> window;  // last two distinct inputs, most recent first
+  std::uint64_t misses = 0;
+  for (const int k : sequence) {
+    const ComputeInput& in = pool[static_cast<std::size_t>(k)];
+    const std::vector<double>& actual = model.solve_cached(node, in.occ, in.background, in.loads);
+    const std::vector<double> expected =
+        ComputeModel::solve(node, in.occ, in.background, in.loads);
+    EXPECT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size() && i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i], expected[i]) << "input " << k << " load " << i;
+    }
+    const auto at = std::find(window.begin(), window.end(), k);
+    if (at == window.end()) {
+      ++misses;
+    } else {
+      window.erase(at);
+    }
+    window.insert(window.begin(), k);
+    if (window.size() > 2) window.pop_back();
+  }
+  return misses;
+}
+
+TEST(ComputeModelMemo, ABABCAMatchesOracleAndSolvesOnlyOutsideTheWindow) {
+  ComputeModel model;
+  const std::vector<int> sequence = {0, 1, 0, 1, 2, 0};
+  const std::uint64_t misses = replay_compute_sequence(model, sequence);
+  EXPECT_EQ(misses, 4u);
+  const MaxMinSolver::Stats stats = model.solver_stats();
+  EXPECT_EQ(stats.calls, sequence.size());
+  EXPECT_EQ(stats.full_solves, misses);
+  EXPECT_EQ(stats.cache_hits, sequence.size() - misses);
+}
+
+TEST(ComputeModelMemo, RandomSequencesSolveOnlyOutsideTheWindow) {
+  Rng rng(0xc0e3011ULL);
+  for (int run = 0; run < 20; ++run) {
+    ComputeModel model;
+    std::vector<int> sequence;
+    for (int step = 0; step < 60; ++step) {
+      sequence.push_back(static_cast<int>(rng.uniform_int(0, 3)));
+    }
+    const std::uint64_t misses = replay_compute_sequence(model, sequence);
+    EXPECT_EQ(model.solver_stats().full_solves, misses) << "run " << run;
+    EXPECT_EQ(model.solver_stats().calls, sequence.size());
+  }
+}
+
+TEST(ComputeModelMemo, ReturnedReferenceStaysValidUntilTheNextCall) {
+  const NodeSpec node = paper_node();
+  const auto pool = compute_memo_pool();
+  ComputeModel model;
+  const auto solve = [&](int k) -> const std::vector<double>& {
+    const ComputeInput& in = pool[static_cast<std::size_t>(k)];
+    return model.solve_cached(node, in.occ, in.background, in.loads);
+  };
+  solve(0);
+  solve(1);
+  const std::vector<double>& rates = solve(0);  // hit on the older entry
+  const ComputeInput& a = pool[0];
+  EXPECT_EQ(rates, ComputeModel::solve(node, a.occ, a.background, a.loads));
+  const ComputeInput& c = pool[2];
+  EXPECT_EQ(solve(2), ComputeModel::solve(node, c.occ, c.background, c.loads));
 }
 
 }  // namespace

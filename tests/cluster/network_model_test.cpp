@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -307,6 +309,93 @@ TEST(NetworkModelCollapse, InvalidSrcThrowsOnBothPaths) {
   std::vector<NetFlow> flows{{0, kInvalidNode, kNoCap}, {1, 99, kNoCap}};
   EXPECT_THROW(net.allocate(flows, {}), SmrError);
   EXPECT_THROW(net.allocate_cached(flows, {}), SmrError);
+}
+
+// Two-entry raw-input memo: a call whose (flows, fetch_streams) equal one
+// of the last two distinct inputs is answered from the memo.  The pool's
+// inputs have distinct flow counts, so every memo miss is a full solve
+// (the solver's own cache needs the same flow structure).
+std::vector<std::vector<NetFlow>> memo_pool() {
+  const double mib = static_cast<double>(kMiB);
+  return {
+      {{0, kInvalidNode, kNoCap}, {1, kInvalidNode, 40.0 * mib}, {2, 5, kNoCap}},
+      {{3, kInvalidNode, kNoCap}, {3, kInvalidNode, 9.0 * mib}, {4, 0, 70.0 * mib},
+       {5, kInvalidNode, kNoCap}, {6, 1, kNoCap}},
+      {{7, kInvalidNode, 25.0 * mib}, {0, 7, kNoCap}, {1, kInvalidNode, kNoCap},
+       {2, kInvalidNode, kNoCap}},
+      {{4, kInvalidNode, kNoCap}, {5, kInvalidNode, kNoCap}},
+  };
+}
+
+// Replays `sequence` (indices into memo_pool()) through allocate_cached,
+// checking every answer bitwise against the allocate() oracle, and returns
+// how many inputs were absent from the last two distinct inputs.
+std::uint64_t replay_memo_sequence(NetworkModel& net, const std::vector<int>& sequence) {
+  const auto pool = memo_pool();
+  std::vector<int> window;  // last two distinct inputs, most recent first
+  std::uint64_t misses = 0;
+  for (const int k : sequence) {
+    const auto& flows = pool[static_cast<std::size_t>(k)];
+    const std::vector<double>& actual = net.allocate_cached(flows, {});
+    const std::vector<double> expected = net.allocate(flows, {});
+    EXPECT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size() && i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i], expected[i]) << "input " << k << " flow " << i;
+      EXPECT_EQ(std::signbit(actual[i]), std::signbit(expected[i]));
+    }
+    const auto at = std::find(window.begin(), window.end(), k);
+    if (at == window.end()) {
+      ++misses;
+    } else {
+      window.erase(at);
+    }
+    window.insert(window.begin(), k);
+    if (window.size() > 2) window.pop_back();
+  }
+  return misses;
+}
+
+TEST(NetworkModelMemo, ABABCAMatchesOracleAndSolvesOnlyOutsideTheWindow) {
+  const ClusterSpec spec = ClusterSpec::paper_testbed(8);
+  NetworkModel net(spec);
+  const std::vector<int> sequence = {0, 1, 0, 1, 2, 0};
+  const std::uint64_t misses = replay_memo_sequence(net, sequence);
+  EXPECT_EQ(misses, 4u);  // A, B, C, and A again once C evicted it
+  const MaxMinSolver::Stats stats = net.solver_stats();
+  EXPECT_EQ(stats.calls, sequence.size());
+  EXPECT_EQ(stats.full_solves, misses);
+  EXPECT_EQ(stats.cache_hits, sequence.size() - misses);
+}
+
+TEST(NetworkModelMemo, RandomSequencesSolveOnlyOutsideTheWindow) {
+  const ClusterSpec spec = two_nic_classes(5, 3);
+  Rng rng(0x3e3011ULL);
+  for (int run = 0; run < 20; ++run) {
+    NetworkModel net(spec);
+    std::vector<int> sequence;
+    for (int step = 0; step < 60; ++step) {
+      sequence.push_back(static_cast<int>(rng.uniform_int(0, 3)));
+    }
+    const std::uint64_t misses = replay_memo_sequence(net, sequence);
+    EXPECT_EQ(net.solver_stats().full_solves, misses) << "run " << run;
+    EXPECT_EQ(net.solver_stats().calls, sequence.size());
+  }
+}
+
+TEST(NetworkModelMemo, ReturnedReferenceStaysValidUntilTheNextCall) {
+  const ClusterSpec spec = ClusterSpec::paper_testbed(8);
+  NetworkModel net(spec);
+  const auto pool = memo_pool();
+  net.allocate_cached(pool[0], {});
+  net.allocate_cached(pool[1], {});
+  // A hit on the older entry: the reference points into the memo.
+  const std::vector<double>& rates = net.allocate_cached(pool[0], {});
+  const std::vector<double> expected = net.allocate(pool[0], {});  // oracle: no memo
+  ASSERT_EQ(rates.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(rates[i], expected[i]);
+  // A miss refills the least recently used entry; its answer is the new one.
+  const std::vector<double>& fresh = net.allocate_cached(pool[2], {});
+  EXPECT_EQ(fresh, net.allocate(pool[2], {}));
 }
 
 }  // namespace

@@ -43,6 +43,25 @@ TEST(JobSpec, DefaultsValidate) {
   EXPECT_NO_THROW(JobSpec{}.validate());
 }
 
+TEST(JobSpec, TaskCountsAreCapped) {
+  JobSpec spec;
+  spec.input_size = kMaxTasks * spec.split_size;  // exactly at the cap
+  EXPECT_EQ(spec.map_task_count_wide(), kMaxTasks);
+  EXPECT_NO_THROW(spec.validate());
+  spec.input_size += 1;  // one more (partial) split
+  EXPECT_THROW(spec.validate(), SmrError);
+  spec.input_size = static_cast<Bytes>(1e9 * static_cast<double>(kGiB));
+  EXPECT_THROW(spec.validate(), SmrError);
+  EXPECT_DOUBLE_EQ(kMaxInputGib * static_cast<double>(kGiB),
+                   static_cast<double>(kMaxTasks * JobSpec{}.split_size));
+
+  spec = JobSpec{};
+  spec.reduce_tasks = static_cast<int>(kMaxTasks);
+  EXPECT_NO_THROW(spec.validate());
+  spec.reduce_tasks += 1;
+  EXPECT_THROW(spec.validate(), SmrError);
+}
+
 TEST(JobSpec, ValidateCatchesBadFields) {
   JobSpec spec;
   spec.input_size = 0;

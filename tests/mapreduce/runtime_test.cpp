@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "smr/workload/puma.hpp"
 
@@ -280,6 +282,25 @@ TEST(Runtime, ConfigValidation) {
   config.initial_map_slots = 0;
   config.initial_reduce_slots = 0;
   EXPECT_THROW(config.validate(), SmrError);
+}
+
+TEST(Runtime, FaultFreeRunRegistersOnlyTheInstrumentsItUpdates) {
+  // The runtime binds its instruments on first use, so a fault-free run
+  // registers exactly what it updates: no zero-valued failure counters.
+  obs::MetricsRegistry registry;
+  Runtime runtime(small_config(), std::make_unique<StaticSlotPolicy>());
+  runtime.set_metrics(&registry);
+  runtime.submit(small_job(), 0.0);
+  ASSERT_TRUE(runtime.run().completed);
+  const std::vector<std::string> expected = {
+      "heartbeats.processed", "policy.periods",         "queue.pending_maps",
+      "queue.pending_reduces", "shuffle.bytes_in_flight", "slots.map_target",
+      "slots.reduce_target",   "task.map_duration_s",     "task.reduce_duration_s",
+      "tasks.map_launches",    "tasks.reduce_launches",   "tasks.running_maps",
+      "tasks.running_reduces"};
+  EXPECT_EQ(registry.names(), expected);
+  EXPECT_EQ(registry.counter("tasks.map_launches").value(), 16);
+  EXPECT_EQ(registry.counter("tasks.reduce_launches").value(), 8);
 }
 
 TEST(Runtime, SnapshotCountsConsistent) {

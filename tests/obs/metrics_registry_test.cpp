@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -231,6 +232,104 @@ TEST(MetricsRegistry, WriteJsonlOneObjectPerLine) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
   }
+}
+
+// The sinks format numbers with std::to_chars; every line must still carry
+// the bytes `ostream << double` writes with default flags (%.6g).
+const std::vector<double>& awkward_numbers() {
+  static const std::vector<double> values = {
+      0.0,
+      -0.0,
+      0.1,
+      999999.5,
+      1e6,
+      1e-5,
+      1e308,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  return values;
+}
+
+std::string ostream_text(double value) {
+  std::ostringstream out;
+  out << value;
+  return out.str();
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(MetricsRegistry, SeriesLinesFormatNumbersLikeOstream) {
+  MetricsRegistry registry;
+  Series& series = registry.series("s{k=\"v\"}");
+  for (const double value : awkward_numbers()) series.append(value, -value);
+  std::ostringstream out;
+  registry.write_jsonl(out);
+  const std::vector<std::string> lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), awkward_numbers().size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const double value = awkward_numbers()[i];
+    EXPECT_EQ(lines[i], "{\"type\":\"series\",\"name\":\"s{k=\\\"v\\\"}\",\"t\":" +
+                            ostream_text(value) + ",\"v\":" + ostream_text(-value) + "}");
+  }
+}
+
+TEST(MetricsRegistry, SeriesCsvFormatsNumbersLikeOstream) {
+  MetricsRegistry registry;
+  Series& series = registry.series("s");
+  for (const double value : awkward_numbers()) series.append(value, -value);
+  std::ostringstream out;
+  registry.write_series_csv(out);
+  const std::vector<std::string> lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), awkward_numbers().size() + 1);
+  EXPECT_EQ(lines[0], "name,time,value");
+  for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+    const double value = awkward_numbers()[i];
+    EXPECT_EQ(lines[i + 1], "s," + ostream_text(value) + "," + ostream_text(-value));
+  }
+}
+
+TEST(MetricsRegistry, JsonlMatchesOstreamAcrossTheBufferBoundary) {
+  // Enough samples to pass the sink's internal flush point several times;
+  // the output must be the plain concatenation of the per-line texts.
+  MetricsRegistry registry;
+  registry.gauge("g").set(1.0 / 3.0);
+  Series& series = registry.series("z");
+  std::string expected = "{\"type\":\"gauge\",\"name\":\"g\",\"value\":" +
+                         ostream_text(1.0 / 3.0) + "}\n";
+  for (int i = 0; i < 5000; ++i) {
+    const double t = 0.37 * i;
+    const double v = 1e9 / (i + 1);
+    series.append(t, v);
+    expected += "{\"type\":\"series\",\"name\":\"z\",\"t\":" + ostream_text(t) +
+                ",\"v\":" + ostream_text(v) + "}\n";
+  }
+  std::ostringstream out;
+  registry.write_jsonl(out);
+  EXPECT_EQ(out.str(), expected);
+}
+
+TEST(MetricsRegistry, BindLooksUpOnceAndRegistersOnFirstUse) {
+  MetricsRegistry registry;
+  Counter* counter = nullptr;
+  Series* series = nullptr;
+  Histogram* histogram = nullptr;
+  EXPECT_TRUE(registry.names().empty());  // nothing registered before use
+  bind(counter, registry, "c").inc();
+  bind(counter, registry, "c").inc(2);
+  bind(series, registry, "s").append(1.0, 2.0);
+  bind(histogram, registry, "h", {1.0}).observe(0.5);
+  EXPECT_EQ(counter, &registry.counter("c"));
+  EXPECT_EQ(series, &registry.series("s"));
+  EXPECT_EQ(histogram, &registry.histogram("h", {1.0}));
+  EXPECT_EQ(counter->value(), 3);
+  EXPECT_EQ(registry.names(), (std::vector<std::string>{"c", "h", "s"}));
 }
 
 TEST(MetricsRegistry, WriteSeriesCsvQuotesLabeledNames) {

@@ -60,6 +60,25 @@ TEST(JobsCsv, RejectsMalformedNumbers) {
   EXPECT_THROW(parse_jobs_csv(zero_input), SmrError);
 }
 
+TEST(JobsCsv, RejectsNonFiniteNumbers) {
+  for (const char* row : {"grep,inf,0\n", "grep,nan,0\n", "grep,8,inf\n", "grep,8,nan\n",
+                          "grep,8,0,inf\n"}) {
+    std::istringstream in(row);
+    EXPECT_THROW(parse_jobs_csv(in), SmrError) << row;
+  }
+}
+
+TEST(JobsCsv, RejectsJobsOverTheTaskCap) {
+  std::istringstream at_cap("grep,131072,0\n");  // 2^20 maps of 128 MiB
+  const auto jobs = parse_jobs_csv(at_cap);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].spec.map_task_count_wide(), mapreduce::kMaxTasks);
+  std::istringstream huge("grep,1e9,0\n");
+  EXPECT_THROW(parse_jobs_csv(huge), SmrError);
+  std::istringstream many_reducers("grep,8,0,1e12\n");
+  EXPECT_THROW(parse_jobs_csv(many_reducers), SmrError);
+}
+
 TEST(JobsCsv, RejectsWrongFieldCount) {
   std::istringstream too_few("grep,8\n");
   EXPECT_THROW(parse_jobs_csv(too_few), SmrError);

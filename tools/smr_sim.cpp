@@ -248,8 +248,13 @@ int run(int argc, char** argv) {
   } else {
     const auto bench = workload::puma_from_name(flags.get_string("benchmark"));
     if (!bench) return fail("unknown benchmark '" + flags.get_string("benchmark") + "'");
-    auto spec = workload::make_puma_job(*bench,
-                                        flags.get_int("input-gib") * kGiB);
+    const std::int64_t input_gib = flags.get_int("input-gib");
+    if (input_gib < 1 || static_cast<double>(input_gib) > mapreduce::kMaxInputGib) {
+      return fail("--input-gib must be in [1, " +
+                  std::to_string(static_cast<std::int64_t>(mapreduce::kMaxInputGib)) +
+                  "] (at most " + std::to_string(mapreduce::kMaxTasks) + " map tasks)");
+    }
+    auto spec = workload::make_puma_job(*bench, input_gib * kGiB);
     spec.reduce_tasks = reduce_tasks;
     const auto count = flags.get_int("jobs");
     for (std::int64_t i = 0; i < count; ++i) {
