@@ -11,6 +11,13 @@ namespace smr::cluster {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEps = 1e-9;
+
+/// The use's run [resource, resource + count) is non-empty and lies inside
+/// [0, nr).
+bool run_in_range(const ResourceUse& use, std::size_t nr) {
+  return use.count >= 1 && use.resource >= 0 &&
+         static_cast<std::size_t>(use.resource) + static_cast<std::size_t>(use.count) <= nr;
+}
 }  // namespace
 
 std::vector<double> max_min_allocate(std::span<const double> capacities,
@@ -28,8 +35,8 @@ std::vector<double> max_min_allocate(std::span<const double> capacities,
   }
   for (const auto& flow : flows) {
     for (const auto& use : flow.uses) {
-      SMR_CHECK_MSG(use.resource >= 0 && static_cast<std::size_t>(use.resource) < nr,
-                    "flow uses unknown resource " << use.resource);
+      SMR_CHECK_MSG(run_in_range(use, nr), "flow uses unknown resources [" << use.resource
+                                               << ", +" << use.count << ")");
       SMR_CHECK(use.weight >= 0.0);
     }
   }
@@ -43,12 +50,19 @@ std::vector<double> max_min_allocate(std::span<const double> capacities,
     const auto idx = static_cast<std::size_t>(r);
     return remaining[idx] <= saturated_below[idx];
   };
+  auto touches_empty = [&](const ResourceUse& use) {
+    if (!(use.weight > 0.0)) return false;
+    for (int k = 0; k < use.count; ++k) {
+      if (resource_empty(use.resource + k)) return true;
+    }
+    return false;
+  };
   std::size_t active = 0;
   for (std::size_t i = 0; i < nf; ++i) {
     const auto& flow = flows[i];
     bool dead = (flow.rate_cap != kNoCap && flow.rate_cap <= 0.0);
     for (const auto& use : flow.uses) {
-      if (use.weight > 0.0 && resource_empty(use.resource)) dead = true;
+      if (touches_empty(use)) dead = true;
     }
     frozen[i] = dead;
     if (!dead) ++active;
@@ -65,7 +79,9 @@ std::vector<double> max_min_allocate(std::span<const double> capacities,
         delta = std::min(delta, flow.rate_cap - rates[i]);
       }
       for (const auto& use : flow.uses) {
-        sumw[static_cast<std::size_t>(use.resource)] += use.weight;
+        for (int k = 0; k < use.count; ++k) {
+          sumw[static_cast<std::size_t>(use.resource + k)] += use.weight;
+        }
       }
     }
     for (std::size_t r = 0; r < nr; ++r) {
@@ -94,7 +110,7 @@ std::vector<double> max_min_allocate(std::span<const double> capacities,
         freeze = true;
       }
       for (const auto& use : flow.uses) {
-        if (use.weight > 0.0 && resource_empty(use.resource)) freeze = true;
+        if (touches_empty(use)) freeze = true;
       }
       frozen[i] = freeze;
       if (!freeze) ++still_active;
@@ -200,26 +216,28 @@ void MaxMinSolver::waterfill() {
   }
 
   // Resource -> positive-weight users, as CSR: users_[user_begin_[r],
-  // user_begin_[r + 1]) are the flows that freeze when r saturates.  Count
-  // into user_begin_[r], prefix-sum to each list's end, then fill
-  // backwards so every entry ends at its list's start.
+  // user_begin_[r + 1]) are the flows that freeze when r saturates (a run
+  // lists its flow under every resource it covers).  Count into
+  // user_begin_[r], prefix-sum to each list's end, then fill backwards so
+  // every entry ends at its list's start.
   user_begin_.assign(nr + 1, 0);
   for (const auto& flow : flows) {
     for (const auto& use : flow.uses) {
-      SMR_CHECK_MSG(use.resource >= 0 && static_cast<std::size_t>(use.resource) < nr,
-                    "flow uses unknown resource " << use.resource);
+      SMR_CHECK_MSG(run_in_range(use, nr), "flow uses unknown resources [" << use.resource
+                                               << ", +" << use.count << ")");
       SMR_CHECK(use.weight >= 0.0);
-      if (use.weight > 0.0) ++user_begin_[static_cast<std::size_t>(use.resource)];
+      if (!(use.weight > 0.0)) continue;
+      std::uint32_t* const counts = user_begin_.data() + use.resource;
+      for (int k = 0; k < use.count; ++k) ++counts[k];
     }
   }
   for (std::size_t r = 1; r <= nr; ++r) user_begin_[r] += user_begin_[r - 1];
   users_.resize(user_begin_[nr]);
   for (std::size_t i = 0; i < nf; ++i) {
     for (const auto& use : flows[i].uses) {
-      if (use.weight > 0.0) {
-        users_[--user_begin_[static_cast<std::size_t>(use.resource)]] =
-            static_cast<std::uint32_t>(i);
-      }
+      if (!(use.weight > 0.0)) continue;
+      std::uint32_t* const ends = user_begin_.data() + use.resource;
+      for (int k = 0; k < use.count; ++k) users_[--ends[k]] = static_cast<std::uint32_t>(i);
     }
   }
 
@@ -256,8 +274,14 @@ void MaxMinSolver::waterfill() {
       if (flow.rate_cap != kNoCap) {
         delta = std::min(delta, flow.rate_cap - rates_[i]);
       }
+      // Each covered resource gets its one `+= w` in flow order, as in the
+      // oracle; with the run contiguous and `w` in a local, the loop
+      // vectorises.
       for (const auto& use : flow.uses) {
-        sumw_[static_cast<std::size_t>(use.resource)] += use.weight;
+        double* const s = sumw_.data() + use.resource;
+        const double w = use.weight;
+        const int count = use.count;
+        for (int k = 0; k < count; ++k) s[k] += w;
       }
     }
     for (std::size_t r = 0; r < nr; ++r) {

@@ -2,7 +2,11 @@
 // ("progressive filling" / water-filling).
 //
 // Each flow i consumes weight w_{i,r} units of resource r per unit of its
-// own rate, and may additionally carry a per-flow rate cap.  The allocator
+// own rate, and may additionally carry a per-flow rate cap.  One use may
+// cover a contiguous run of resources at one weight (ResourceUse::count):
+// a shuffle flow pulling from every transmit port lists them as one entry,
+// and the water-fill adds its weight to the run in one contiguous loop
+// instead of one scattered add per listed resource.  The allocator
 // raises all uncapped, unfrozen flow rates at the same pace; whenever a
 // resource saturates, every flow using it freezes at the current level.
 // This is the standard fluid model for fair CPU scheduling, disk sharing
@@ -31,11 +35,18 @@
 
 namespace smr::cluster {
 
+/// A block of resource uses: the run [resource, resource + count), each
+/// resource at `weight`.  Exactly `count` single uses in ascending order:
+/// every covered resource gets the same `+= weight` at the same point of
+/// the same flow-ordered sum, so solving with runs is bitwise the same as
+/// solving with the runs expanded.
 struct ResourceUse {
-  /// Index into the capacities array.
+  /// Index into the capacities array (the run's first resource).
   int resource = 0;
-  /// Units of that resource consumed per unit of flow rate.
+  /// Units of each covered resource consumed per unit of flow rate.
   double weight = 1.0;
+  /// Run length (>= 1); the run must end inside the capacities array.
+  int count = 1;
 
   friend bool operator==(const ResourceUse&, const ResourceUse&) = default;
 };

@@ -6,27 +6,13 @@
 
 namespace smr::cluster {
 
-void NetworkModel::build_problem(std::span<const NetFlow> flows,
-                                 std::span<const int> fetch_streams_per_node, bool collapse,
-                                 Problem& out) const {
+std::span<const FlowDemand> NetworkModel::build_problem(
+    std::span<const NetFlow> flows, std::span<const int> fetch_streams_per_node, bool collapse,
+    Problem& out) const {
   const auto& spec = *spec_;
   const int n = spec.worker_count();
   SMR_CHECK(fetch_streams_per_node.empty() ||
             fetch_streams_per_node.size() == static_cast<std::size_t>(n));
-
-  // Resource layout: [0, n) receive ports, [n, 2n) transmit ports, 2n fabric.
-  std::vector<double>& capacities = out.capacities;
-  capacities.assign(static_cast<std::size_t>(2 * n) + 1, 0.0);
-  for (int i = 0; i < n; ++i) {
-    const auto& node = spec.workers[static_cast<std::size_t>(i)];
-    double rx = node.nic_bandwidth;
-    if (!fetch_streams_per_node.empty()) {
-      rx *= spec.network.incast_efficiency(fetch_streams_per_node[static_cast<std::size_t>(i)]);
-    }
-    capacities[static_cast<std::size_t>(i)] = rx;
-    capacities[static_cast<std::size_t>(n + i)] = node.nic_bandwidth;
-  }
-  capacities[static_cast<std::size_t>(2 * n)] = spec.network.fabric_bandwidth;
 
   out.is_p2p_source.assign(static_cast<std::size_t>(n), 0);
   for (const NetFlow& flow : flows) {
@@ -36,13 +22,24 @@ void NetworkModel::build_problem(std::span<const NetFlow> flows,
     out.is_p2p_source[static_cast<std::size_t>(flow.src)] = 1;
   }
 
-  // Transmit ports a diffuse flow lists: all of them, or (collapsed) every
-  // point-to-point source plus the first port of each capacity class among
-  // the rest.  The other ports keep their capacity but have no users.
-  out.diffuse_ports.clear();
+  // Resource layout: [0, n) receive ports, then the listed transmit ports
+  // in ascending node order, then the fabric.  Listed are all n ports
+  // (uncollapsed: [n, 2n), fabric 2n), or every point-to-point source plus
+  // the first port of each capacity class among the rest.  The ports left
+  // out would have no users.
+  std::vector<double>& capacities = out.capacities;
+  capacities.clear();
+  for (int i = 0; i < n; ++i) {
+    double rx = spec.workers[static_cast<std::size_t>(i)].nic_bandwidth;
+    if (!fetch_streams_per_node.empty()) {
+      rx *= spec.network.incast_efficiency(fetch_streams_per_node[static_cast<std::size_t>(i)]);
+    }
+    capacities.push_back(rx);
+  }
+  out.tx_resource.assign(static_cast<std::size_t>(n), -1);
   out.represented.clear();
   for (int s = 0; s < n; ++s) {
-    const double tx = capacities[static_cast<std::size_t>(n + s)];
+    const double tx = spec.workers[static_cast<std::size_t>(s)].nic_bandwidth;
     if (collapse && out.is_p2p_source[static_cast<std::size_t>(s)] == 0) {
       if (std::find(out.represented.begin(), out.represented.end(), tx) !=
           out.represented.end()) {
@@ -50,33 +47,42 @@ void NetworkModel::build_problem(std::span<const NetFlow> flows,
       }
       out.represented.push_back(tx);
     }
-    out.diffuse_ports.push_back(n + s);
+    out.tx_resource[static_cast<std::size_t>(s)] = static_cast<int>(capacities.size());
+    capacities.push_back(tx);
   }
+  const int fabric = static_cast<int>(capacities.size());
+  capacities.push_back(spec.network.fabric_bandwidth);
 
+  // Collapsed, a diffuse flow covers the listed transmit ports [n, fabric)
+  // with one run; the oracle lists them one by one.
   const double diffuse_weight = 1.0 / static_cast<double>(n);
   std::vector<FlowDemand>& demands = out.demands;
-  demands.resize(flows.size());
+  if (demands.size() < flows.size()) demands.resize(flows.size());
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const auto& flow = flows[f];
     FlowDemand& d = demands[f];
     d.rate_cap = flow.rate_cap;
     d.uses.clear();
-    d.uses.push_back({flow.dst, 1.0});                       // receive port
-    d.uses.push_back({2 * n, 1.0});                          // fabric
-    if (flow.src == kInvalidNode) {
-      for (const int port : out.diffuse_ports) d.uses.push_back({port, diffuse_weight});
+    d.uses.push_back({flow.dst, 1.0});  // receive port
+    d.uses.push_back({fabric, 1.0});
+    if (flow.src != kInvalidNode) {
+      d.uses.push_back({out.tx_resource[static_cast<std::size_t>(flow.src)], 1.0});
+    } else if (collapse) {
+      d.uses.push_back({n, diffuse_weight, fabric - n});
     } else {
-      d.uses.push_back({n + flow.src, 1.0});
+      for (int port = n; port < fabric; ++port) d.uses.push_back({port, diffuse_weight});
     }
   }
+  return std::span<const FlowDemand>(demands).first(flows.size());
 }
 
 std::vector<double> NetworkModel::allocate(
     std::span<const NetFlow> flows, std::span<const int> fetch_streams_per_node) const {
   if (flows.empty()) return {};
   Problem problem;
-  build_problem(flows, fetch_streams_per_node, /*collapse=*/false, problem);
-  return max_min_allocate(problem.capacities, problem.demands);
+  const std::span<const FlowDemand> demands =
+      build_problem(flows, fetch_streams_per_node, /*collapse=*/false, problem);
+  return max_min_allocate(problem.capacities, demands);
 }
 
 namespace {
@@ -107,8 +113,9 @@ const std::vector<double>& NetworkModel::allocate_cached(
     return hit->rates;
   }
 
-  build_problem(flows, fetch_streams_per_node, /*collapse=*/true, scratch_);
-  const std::vector<double>& rates = solver_.solve(scratch_.capacities, scratch_.demands);
+  const std::span<const FlowDemand> demands =
+      build_problem(flows, fetch_streams_per_node, /*collapse=*/true, scratch_);
+  const std::vector<double>& rates = solver_.solve(scratch_.capacities, demands);
   MemoEntry& entry = memo_.replace();
   entry.flows.assign(flows.begin(), flows.end());
   entry.streams.assign(fetch_streams_per_node.begin(), fetch_streams_per_node.end());

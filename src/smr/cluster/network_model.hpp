@@ -9,14 +9,18 @@
 // point-to-point: receiver, fabric and the sender's transmit port, all
 // with weight 1.
 //
-// The oracle (allocate) lists all N transmit ports on every diffuse flow.
-// The cached path lists each point-to-point source port, plus one
-// representative per distinct capacity among the transmit ports no
-// point-to-point flow uses.  Ports of one such class see the same `+= 1/N`
-// additions in the same flow order, so the water-fill keeps them bitwise
-// equal and saturates them in the same round: the representative stands in
-// exactly, and a diffuse solve costs O(flows x distinct ports) instead of
-// O(flows x N).  docs/PERF.md §1 has the full argument.
+// The oracle (allocate) lists all N transmit ports on every diffuse flow,
+// one use each.  The cached path lists each point-to-point source port,
+// plus one representative per distinct capacity among the transmit ports
+// no point-to-point flow uses.  Ports of one such class see the same
+// `+= 1/N` additions in the same flow order, so the water-fill keeps them
+// bitwise equal and saturates them in the same round: the representative
+// stands in exactly.  The listed ports are numbered contiguously, so a
+// diffuse flow is three uses — receive port, fabric, and one run over all
+// listed transmit ports (ResourceUse::count) — and the unlisted ports,
+// which would have no users, are left out of the problem.  A diffuse solve
+// costs O(flows x distinct ports) contiguous adds instead of O(flows x N)
+// scattered ones.  docs/PERF.md §1 has the full argument.
 //
 // Per-receiver incast: when a node hosts many concurrent fetch streams
 // (reducers × parallel copier threads) its receive goodput degrades per
@@ -86,30 +90,32 @@ class NetworkModel {
 
  private:
   /// A built max-min problem plus build scratch; the cached path reuses
-  /// one across calls.
+  /// one across calls, so a build allocates nothing once warm.
   struct Problem {
     std::vector<double> capacities;
-    /// One per flow.  Unlike the solver's and the compute model's scratch
-    /// this one is resized to the flow count: a diffuse flow lists every
-    /// point-to-point source port, and keeping those long `uses` buffers
-    /// past the tick that needed them raised peak RSS by ~7 % on a
+    /// The problem is demands[0, flow count).  Like the solver's scratch
+    /// it never shrinks, which is cheap only because a collapsed flow has
+    /// at most three uses: with each point-to-point source port as its own
+    /// use, the buffers kept past a large tick cost ~7 % peak RSS on a
     /// 256-node cluster (docs/PERF.md §6).
     std::vector<FlowDemand> demands;
-    /// Transmit-port resources every diffuse flow lists, ascending.
-    std::vector<int> diffuse_ports;
     /// is_p2p_source[s]: node s sends a point-to-point flow.
     std::vector<char> is_p2p_source;
+    /// tx_resource[s]: node s's transmit-port resource, or -1 if unlisted.
+    std::vector<int> tx_resource;
     /// Capacities that already have a representative port.
     std::vector<double> represented;
   };
 
   /// Build the (capacities, demands) max-min problem (shared by the oracle
-  /// and cached paths so the arithmetic is identical).  `collapse` lists
-  /// one representative per equivalent transmit-port class on diffuse
-  /// flows instead of every port; the resource layout is the same.
-  void build_problem(std::span<const NetFlow> flows,
-                     std::span<const int> fetch_streams_per_node, bool collapse,
-                     Problem& out) const;
+  /// and cached paths so the arithmetic is identical) and return its
+  /// demands.  `collapse` lists one representative per equivalent
+  /// transmit-port class, numbers the listed ports contiguously and gives
+  /// each diffuse flow one run over them; otherwise every port is listed
+  /// and used one by one.
+  std::span<const FlowDemand> build_problem(std::span<const NetFlow> flows,
+                                            std::span<const int> fetch_streams_per_node,
+                                            bool collapse, Problem& out) const;
 
   const ClusterSpec* spec_;
   MaxMinSolver solver_;

@@ -724,16 +724,17 @@ void Runtime::on_tick() {
     t.shuffle_disk_demand[static_cast<std::size_t>(t.flows[f].dst)] +=
         t.net_rates[f] * spec.shuffle_disk_factor;
   }
+  // A node without shuffle demand keeps scale 1, so its disk share is not
+  // evaluated at all.
   t.shuffle_scale.assign(static_cast<std::size_t>(n), 1.0);
   for (int d = 0; d < n; ++d) {
+    const double demand = t.shuffle_disk_demand[static_cast<std::size_t>(d)];
+    if (!(demand > 0.0)) continue;
     const auto& node_spec = config_.cluster.workers[static_cast<std::size_t>(d)];
     const double allowed =
         config_.shuffle_disk_share *
         cluster::ComputeModel::effective_disk(node_spec, t.occ[static_cast<std::size_t>(d)]);
-    const double demand = t.shuffle_disk_demand[static_cast<std::size_t>(d)];
-    if (demand > allowed && demand > 0.0) {
-      t.shuffle_scale[static_cast<std::size_t>(d)] = allowed / demand;
-    }
+    if (demand > allowed) t.shuffle_scale[static_cast<std::size_t>(d)] = allowed / demand;
   }
   for (std::size_t f = 0; f < t.flows.size(); ++f) {
     if (t.flow_is_shuffle[f]) {

@@ -298,14 +298,13 @@ void Runtime::shard_solve_integrate(ShardScratch& s) {
   s.shuffle_scale.assign(local_n, 1.0);
   for (std::size_t d = lo; d < hi; ++d) {
     const auto li = d - lo;
+    const double demand = s.shuffle_disk_demand[li];
+    if (!(demand > 0.0)) continue;  // scale stays 1
     const auto& node_spec = config_.cluster.workers[d];
     const double allowed =
         config_.shuffle_disk_share *
         cluster::ComputeModel::effective_disk(node_spec, s.occ[li]);
-    const double demand = s.shuffle_disk_demand[li];
-    if (demand > allowed && demand > 0.0) {
-      s.shuffle_scale[li] = allowed / demand;
-    }
+    if (demand > allowed) s.shuffle_scale[li] = allowed / demand;
   }
   for (std::size_t f = 0; f < s.flows.size(); ++f) {
     if (s.flow_is_shuffle[f]) {

@@ -10,12 +10,15 @@
 //     contradicts max-min optimality);
 //   * the solver's fast paths (exact-repeat and cap-slack) and its sparse
 //     freeze pass never diverge from a fresh oracle solve — not even in
-//     the last bit.
+//     the last bit;
+//   * block uses (runs of resources) solve bitwise like the same problem
+//     with every run expanded to single uses, on both paths.
 #include "smr/cluster/maxmin.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -319,6 +322,128 @@ TEST(MaxMinSolverSparseFreeze, SeveralResourcesSaturateInOneRound) {
   EXPECT_DOUBLE_EQ(rates[1], 50.0);
   EXPECT_DOUBLE_EQ(rates[2], 50.0);
   EXPECT_DOUBLE_EQ(rates[3], 500.0);
+}
+
+// Block uses: a use covering [resource, resource + count) must solve
+// bitwise like the same problem with the run expanded to `count` single
+// uses, on the oracle and on the solver.
+std::vector<FlowDemand> expand_runs(const std::vector<FlowDemand>& flows) {
+  std::vector<FlowDemand> expanded(flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    expanded[i].rate_cap = flows[i].rate_cap;
+    for (const ResourceUse& use : flows[i].uses) {
+      for (int k = 0; k < use.count; ++k) {
+        expanded[i].uses.push_back({use.resource + k, use.weight});
+      }
+    }
+  }
+  return expanded;
+}
+
+// Runs mixed with single uses: zero-weight runs, single uses inside a run
+// of the same flow, resources empty at the start, capacities from a small
+// set (ties) and weights 1/n for non-power-of-two n, whose sums round.
+Problem run_problem(Rng& rng) {
+  Problem p;
+  const int resources = static_cast<int>(rng.uniform_int(1, 12));
+  const int flows = static_cast<int>(rng.uniform_int(0, 16));
+  const double capacity_set[] = {0.0, 1e-12, 100.0, 100.0, 300.0};
+  for (int r = 0; r < resources; ++r) {
+    p.capacities.push_back(rng.uniform() < 0.5 ? capacity_set[rng.uniform_int(0, 4)]
+                                               : rng.uniform(0.1, 1000.0));
+  }
+  const double divisors[] = {3.0, 7.0, 37.0, 1000.0};
+  const double inverse = 1.0 / divisors[rng.uniform_int(0, 3)];
+  auto weight = [&] {
+    const double u = rng.uniform();
+    if (u < 0.1) return 0.0;
+    if (u < 0.6) return inverse;
+    if (u < 0.8) return 1.0;
+    return rng.uniform(0.01, 4.0);
+  };
+  p.flows.resize(static_cast<std::size_t>(flows));
+  for (FlowDemand& flow : p.flows) {
+    flow.rate_cap = rng.uniform() < 0.2 ? rng.uniform(0.0, 200.0) : kNoCap;
+    const int uses = static_cast<int>(rng.uniform_int(0, 4));
+    for (int u = 0; u < uses; ++u) {
+      const int first = static_cast<int>(rng.uniform_int(0, resources - 1));
+      if (rng.uniform() < 0.5) {
+        flow.uses.push_back({first, weight()});
+        continue;
+      }
+      const int count = static_cast<int>(rng.uniform_int(1, resources - first));
+      flow.uses.push_back({first, weight(), count});
+      if (rng.uniform() < 0.4) {
+        // A single use of a resource the run covers.
+        flow.uses.push_back({first + static_cast<int>(rng.uniform_int(0, count - 1)), weight()});
+      }
+    }
+    if (flow.rate_cap == kNoCap && !bounded_by_use(flow)) flow.rate_cap = 25.0;
+  }
+  return p;
+}
+
+TEST(MaxMinBlockUses, RandomRunsMatchExpandedUsesBitwise) {
+  Rng rng(0xb10cULL);
+  MaxMinSolver reused;
+  int runs = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Problem p = run_problem(rng);
+    for (const FlowDemand& flow : p.flows) {
+      for (const ResourceUse& use : flow.uses) runs += use.count > 1 ? 1 : 0;
+    }
+    const Problem expanded{p.capacities, expand_runs(p.flows)};
+    const std::vector<double> expected = max_min_allocate(expanded.capacities, expanded.flows);
+    check_feasible_and_maxmin(expanded, expected);
+    expect_bitwise(max_min_allocate(p.capacities, p.flows), expected);
+    MaxMinSolver fresh;
+    expect_bitwise(fresh.solve(p.capacities, p.flows), expected);
+    expect_bitwise(reused.solve(p.capacities, p.flows), expected);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GE(runs, 3000);
+}
+
+TEST(MaxMinBlockUses, RunLengthChangeForcesResolve) {
+  const std::vector<double> caps{90.0, 30.0, 60.0};
+  std::vector<FlowDemand> flows(2);
+  flows[0].rate_cap = kNoCap;
+  flows[0].uses = {{0, 1.0, 2}};
+  flows[1].rate_cap = kNoCap;
+  flows[1].uses = {{0, 1.0}};
+  MaxMinSolver solver;
+  expect_bitwise(solver.solve(caps, flows), max_min_allocate(caps, expand_runs(flows)));
+  EXPECT_DOUBLE_EQ(solver.solve(caps, flows)[0], 30.0);  // resource 1 binds
+  flows[0].uses[0].count = 3;  // same start and weight, one more resource
+  const std::vector<double> rates = solver.solve(caps, flows);
+  expect_bitwise(rates, max_min_allocate(caps, expand_runs(flows)));
+  EXPECT_EQ(solver.stats().full_solves, 2u);
+  EXPECT_EQ(solver.stats().cache_hits, 1u);
+}
+
+TEST(MaxMinBlockUses, BadRunsThrowOnBothPaths) {
+  const std::vector<double> caps{10.0, 10.0, 10.0};
+  const std::vector<ResourceUse> bad = {
+      {0, 1.0, 0},   // empty run
+      {1, 1.0, -1},  // negative length
+      {1, 1.0, 3},   // ends one past the last resource
+      {2, 0.0, 2},   // past the end even at zero weight
+      {-1, 1.0, 2},  // starts before the first resource
+      {0, 1.0, std::numeric_limits<int>::max()},
+  };
+  for (const ResourceUse& use : bad) {
+    SCOPED_TRACE("run [" + std::to_string(use.resource) + ", +" + std::to_string(use.count) +
+                 ")");
+    std::vector<FlowDemand> flows(2);
+    flows[0].rate_cap = kNoCap;
+    flows[0].uses = {{0, 1.0}};
+    flows[1].rate_cap = 5.0;
+    flows[1].uses = {use};
+    EXPECT_THROW(max_min_allocate(caps, flows), SmrError);
+    MaxMinSolver solver;
+    EXPECT_THROW(solver.solve(caps, flows), SmrError);
+  }
 }
 
 TEST(MaxMinSolverDifferential, ExactRepeatHitsCache) {
