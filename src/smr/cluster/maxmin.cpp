@@ -12,11 +12,23 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEps = 1e-9;
 
+/// Largest problem the feasible-cap short-circuit takes: at most this many
+/// flows (so water-fill rounds) and uses (so terms of a resource's weight
+/// sum).  The exactness argument (docs/PERF.md §1) needs (flows + 1) * u
+/// well below kEps, u the unit roundoff; above the limit the water-fill runs.
+constexpr std::size_t kFeasibleCapLimit = std::size_t{1} << 20;
+
 /// The use's run [resource, resource + count) is non-empty and lies inside
 /// [0, nr).
 bool run_in_range(const ResourceUse& use, std::size_t nr) {
   return use.count >= 1 && use.resource >= 0 &&
          static_cast<std::size_t>(use.resource) + static_cast<std::size_t>(use.count) <= nr;
+}
+
+void check_use(const ResourceUse& use, std::size_t nr) {
+  SMR_CHECK_MSG(run_in_range(use, nr), "flow uses unknown resources [" << use.resource
+                                           << ", +" << use.count << ")");
+  SMR_CHECK(use.weight >= 0.0);
 }
 }  // namespace
 
@@ -34,11 +46,7 @@ std::vector<double> max_min_allocate(std::span<const double> capacities,
     saturated_below[r] = kEps * (remaining[r] + 1.0);
   }
   for (const auto& flow : flows) {
-    for (const auto& use : flow.uses) {
-      SMR_CHECK_MSG(run_in_range(use, nr), "flow uses unknown resources [" << use.resource
-                                               << ", +" << use.count << ")");
-      SMR_CHECK(use.weight >= 0.0);
-    }
+    for (const auto& use : flow.uses) check_use(use, nr);
   }
 
   std::vector<double> rates(nf, 0.0);
@@ -186,6 +194,9 @@ const std::vector<double>& MaxMinSolver::solve(std::span<const double> capacitie
   }
 
   ++stats_.full_solves;
+  // Invalid until the water-fill returns: a problem it rejects must throw
+  // again next time, not hit the cache.
+  valid_ = false;
   capacities_.assign(capacities.begin(), capacities.end());
   // Element-wise copy so each cached FlowDemand's `uses` buffer is reused.
   if (flows_.size() < flows.size()) flows_.resize(flows.size());
@@ -199,21 +210,74 @@ const std::vector<double>& MaxMinSolver::solve(std::span<const double> capacitie
   return rates_;
 }
 
+// Feasible-cap short-circuit: when every flow has a finite cap > 0 and
+// charging every flow its cap leaves each resource with a positive-weight
+// user a margin above its saturation threshold, the water-fill would raise
+// the level one cap at a time, freeze every flow by its cap test (rate :=
+// cap) and never saturate a resource, so the answer is the caps.  The
+// margin covers the rounding of the water-fill's sums and of its
+// `remaining` fold; docs/PERF.md §1 ("Feasible caps") has the argument.
+// Scratch: sumw_[r] collects the charge U_r = Σ weight·cap and
+// remaining_[r] the weight sum Σ weight over the positive-weight uses
+// covering r — counting users, not charges, since a charge can underflow
+// to 0.
+bool MaxMinSolver::caps_feasible() {
+  const std::size_t nr = capacities_.size();
+  const std::size_t nf = nflows_;
+  if (nf > kFeasibleCapLimit) return false;
+  for (std::size_t i = 0; i < nf; ++i) {
+    const double cap = flows_[i].rate_cap;
+    if (!(cap > 0.0 && cap < kInf)) return false;  // kNoCap, <= 0, NaN, +inf
+  }
+  sumw_.assign(nr, 0.0);
+  remaining_.assign(nr, 0.0);
+  std::size_t nuses = 0;
+  for (std::size_t i = 0; i < nf; ++i) {
+    const double cap = flows_[i].rate_cap;
+    nuses += flows_[i].uses.size();
+    if (nuses > kFeasibleCapLimit) return false;
+    for (const auto& use : flows_[i].uses) {
+      check_use(use, nr);
+      const double w = use.weight;
+      if (!(w > 0.0)) continue;
+      const double charge = w * cap;
+      double* const charges = sumw_.data() + use.resource;
+      double* const weights = remaining_.data() + use.resource;
+      for (int k = 0; k < use.count; ++k) {
+        charges[k] += charge;
+        weights[k] += w;
+      }
+    }
+  }
+  for (std::size_t r = 0; r < nr; ++r) {
+    if (!(remaining_[r] > 0.0)) continue;       // no positive-weight user
+    if (!(remaining_[r] < kInf)) return false;  // the water-fill's sumw would overflow
+    if (!(sumw_[r] * (1.0 + 1e-6) < capacities_[r] - 2.0 * saturated_below_[r])) return false;
+  }
+  return true;
+}
+
 void MaxMinSolver::waterfill() {
   const std::size_t nr = capacities_.size();
   const std::size_t nf = nflows_;
   const std::span<const FlowDemand> flows(flows_.data(), nf);
 
-  rates_.assign(nf, 0.0);
-  frozen_by_cap_.assign(nf, false);
   degenerate_ = false;
-
-  remaining_.assign(capacities_.begin(), capacities_.end());
   saturated_below_.resize(nr);
   for (std::size_t r = 0; r < nr; ++r) {
-    SMR_CHECK_MSG(remaining_[r] >= 0.0, "negative capacity for resource " << r);
-    saturated_below_[r] = kEps * (remaining_[r] + 1.0);
+    SMR_CHECK_MSG(capacities_[r] >= 0.0, "negative capacity for resource " << r);
+    saturated_below_[r] = kEps * (capacities_[r] + 1.0);
   }
+  if (caps_feasible()) {
+    ++stats_.cap_feasible_solves;
+    rates_.resize(nf);
+    for (std::size_t i = 0; i < nf; ++i) rates_[i] = flows[i].rate_cap;
+    frozen_by_cap_.assign(nf, true);
+    return;
+  }
+  rates_.assign(nf, 0.0);
+  frozen_by_cap_.assign(nf, false);
+  remaining_.assign(capacities_.begin(), capacities_.end());
 
   // Resource -> positive-weight users, as CSR: users_[user_begin_[r],
   // user_begin_[r + 1]) are the flows that freeze when r saturates (a run
@@ -223,9 +287,7 @@ void MaxMinSolver::waterfill() {
   user_begin_.assign(nr + 1, 0);
   for (const auto& flow : flows) {
     for (const auto& use : flow.uses) {
-      SMR_CHECK_MSG(run_in_range(use, nr), "flow uses unknown resources [" << use.resource
-                                               << ", +" << use.count << ")");
-      SMR_CHECK(use.weight >= 0.0);
+      check_use(use, nr);
       if (!(use.weight > 0.0)) continue;
       std::uint32_t* const counts = user_begin_.data() + use.resource;
       for (int k = 0; k < use.count; ++k) ++counts[k];

@@ -22,9 +22,12 @@
 //     solution and skips the water-filling pass entirely when the inputs
 //     are unchanged, or when only non-binding rate caps moved (the common
 //     shuffle case: caps track task backlogs while the network is the
-//     actual bottleneck).  Every path is bit-for-bit identical to the
-//     oracle — see docs/PERF.md for the dirtiness rules and why partial
-//     per-resource re-solving was rejected.
+//     actual bottleneck).  A full solve whose caps are feasible with a
+//     margin (no resource can bind: the fetch-cap-bound shuffle) returns
+//     the caps after one O(uses) pass instead of one water-fill round per
+//     cap level.  Every path is bit-for-bit identical to the oracle — see
+//     docs/PERF.md for the dirtiness rules, the feasible-cap argument and
+//     why partial per-resource re-solving was rejected.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +86,9 @@ class MaxMinSolver {
     std::uint64_t cap_fast_hits = 0;
     /// Calls that ran the full water-filling pass.
     std::uint64_t full_solves = 0;
+    /// Full solves answered by the feasible-cap short-circuit (a subset of
+    /// full_solves; see waterfill()).
+    std::uint64_t cap_feasible_solves = 0;
   };
 
   /// Solve (or re-use the cached solution of) the max-min problem.  The
@@ -96,7 +102,9 @@ class MaxMinSolver {
   ///      epsilon margin above that flow's rate — the water-filling delta
   ///      sequence is provably unchanged, so the cached rates are returned.
   ///   3. Anything else — full re-solve (identical arithmetic to the
-  ///      oracle, with scratch buffers reused across calls).
+  ///      oracle, with scratch buffers reused across calls), or the caps
+  ///      themselves when they are feasible with a margin, which the
+  ///      water-fill would provably return.
   const std::vector<double>& solve(std::span<const double> capacities,
                                    std::span<const FlowDemand> flows);
 
@@ -109,6 +117,7 @@ class MaxMinSolver {
  private:
   bool cache_usable(std::span<const double> capacities,
                     std::span<const FlowDemand> flows, bool& caps_only) const;
+  bool caps_feasible();
   void waterfill();
 
   // Cached problem + solution.  The problem is flows_[0, nflows_); the

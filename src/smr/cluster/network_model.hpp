@@ -20,7 +20,9 @@
 // listed transmit ports (ResourceUse::count) — and the unlisted ports,
 // which would have no users, are left out of the problem.  A diffuse solve
 // costs O(flows x distinct ports) contiguous adds instead of O(flows x N)
-// scattered ones.  docs/PERF.md §1 has the full argument.
+// scattered ones.  A fetch-cap-bound solve, where no port or fabric can
+// bind, costs O(uses) once instead of rounds x (flows x ports): the solver
+// returns the caps (maxmin.hpp).  docs/PERF.md §1 has the full argument.
 //
 // Per-receiver incast: when a node hosts many concurrent fetch streams
 // (reducers × parallel copier threads) its receive goodput degrades per

@@ -419,6 +419,8 @@ class Runtime {
   void complete_map(Job& job, MapTask& task, TaskId attempt_id);
   void complete_reduce(Job& job, ReduceTask& task, TaskId attempt_id);
   void settle_reduce(Job& job, ReduceTask& task);
+  /// The tick's completions and shuffle settles, in task-id order.
+  void finish_tick();
   void check_all_done();
 
   Job& job_of(JobId id) {
@@ -559,7 +561,7 @@ class Runtime {
     std::vector<std::uint32_t> shuffle_entries, remote_entries;
     std::vector<cluster::NetFlow> flows;
     std::vector<std::uint32_t> flow_entry;  // index into map_* / red_* SoA
-    std::vector<bool> flow_is_shuffle;
+    std::vector<std::uint8_t> flow_is_shuffle;
     std::vector<int> fetch_streams;
     std::vector<double> net_rates;
     std::vector<double> shuffle_disk_demand;
@@ -567,7 +569,7 @@ class Runtime {
     std::vector<cluster::BackgroundLoad> background;
     std::vector<cluster::PhaseLoad> loads;          // per node
     std::vector<std::uint32_t> load_entry;          // per node, SoA index
-    std::vector<bool> load_is_map;                  // per node
+    std::vector<std::uint8_t> load_is_map;          // per node
     struct ComputeRate {
       std::uint32_t entry;
       bool is_map;

@@ -634,7 +634,8 @@ void Runtime::on_tick_sharded() {
     s.trace_events.clear();
   }
 
-  // Completions: merge, sort by id, apply — the serial tail verbatim.
+  // Completions and settles: merge the shard lists, then apply them through
+  // the serial tail (finish_tick).
   t.finished_maps.clear();
   t.finished_reduces.clear();
   for (const ShardScratch& s : shards_) {
@@ -644,34 +645,7 @@ void Runtime::on_tick_sharded() {
                               s.finished_reduces.begin(),
                               s.finished_reduces.end());
   }
-  std::sort(t.finished_maps.begin(), t.finished_maps.end());
-  std::sort(t.finished_reduces.begin(), t.finished_reduces.end());
-  for (TaskId id : t.finished_maps) {
-    const TaskRef* ref_it = find_task_ref(id);
-    if (ref_it == nullptr) continue;  // shadow retired this tick
-    const TaskRef& ref = *ref_it;
-    if (ref.speculative) {
-      win_speculative(id);
-      continue;
-    }
-    MapTask& task = map_task(id);
-    if (task.phase == MapPhase::kDone) continue;  // shadow won this tick
-    complete_map(job_of(task.job), task, id);
-  }
-  for (TaskId id : t.finished_reduces) {
-    const TaskRef* ref_it = find_task_ref(id);
-    if (ref_it == nullptr) continue;  // shadow retired this tick
-    if (ref_it->speculative) {
-      win_speculative_reduce(id);
-      continue;
-    }
-    ReduceTask& task = reduce_task(id);
-    if (task.phase == ReducePhase::kDone) continue;  // shadow won this tick
-    complete_reduce(job_of(task.job), task, id);
-  }
-
-  // Settles: merge the shard candidate lists, sort, apply (primaries before
-  // shadows, ascending id — the serial order).
+  // Settles: merge the shard candidate lists.
   t.settle_primaries.clear();
   t.settle_shadows.clear();
   for (const ShardScratch& s : shards_) {
@@ -681,27 +655,7 @@ void Runtime::on_tick_sharded() {
     t.settle_shadows.insert(t.settle_shadows.end(), s.settle_shadows.begin(),
                             s.settle_shadows.end());
   }
-  std::sort(t.settle_primaries.begin(), t.settle_primaries.end());
-  for (TaskId id : t.settle_primaries) {
-    const TaskRef& ref = task_refs_[static_cast<std::size_t>(id)];
-    Job& job = jobs_[static_cast<std::size_t>(ref.job)];
-    ReduceTask& task = job.reduces[static_cast<std::size_t>(ref.index)];
-    if (!task.running() || task.phase != ReducePhase::kShuffling) continue;
-    settle_reduce(job, task);
-  }
-  if (!t.settle_shadows.empty()) {
-    std::sort(t.settle_shadows.begin(), t.settle_shadows.end());
-    for (TaskId id : t.settle_shadows) {
-      const TaskRef* ref = find_task_ref(id);
-      if (ref == nullptr) continue;
-      ReduceTask& task =
-          reduce_shadow_pool_[static_cast<std::size_t>(ref->shadow_slot)];
-      if (task.phase != ReducePhase::kShuffling) continue;
-      settle_reduce(job_of(task.job), task);
-    }
-  }
-
-  check_all_done();
+  finish_tick();
 }
 
 void write_shard_stats_json(const Runtime& runtime, std::ostream& out) {

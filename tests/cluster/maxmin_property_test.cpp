@@ -12,16 +12,22 @@
 //     freeze pass never diverge from a fresh oracle solve — not even in
 //     the last bit;
 //   * block uses (runs of resources) solve bitwise like the same problem
-//     with every run expanded to single uses, on both paths.
+//     with every run expanded to single uses, on both paths;
+//   * the feasible-cap short-circuit (every flow at its cap, no resource
+//     binding) answers exactly what the water-fill would, on the solver
+//     and through the network and compute models.
 #include "smr/cluster/maxmin.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "smr/cluster/compute_model.hpp"
+#include "smr/cluster/network_model.hpp"
 #include "smr/common/rng.hpp"
 
 namespace smr::cluster {
@@ -446,6 +452,311 @@ TEST(MaxMinBlockUses, BadRunsThrowOnBothPaths) {
   }
 }
 
+// Feasible caps: when every flow has a finite cap > 0 and charging every
+// flow its cap leaves each resource with a positive-weight user a margin
+// (U_r * (1 + 1e-6) < C_r - 2 * kEps * (C_r + 1)), the solver returns the
+// caps without a water-fill and counts Stats::cap_feasible_solves.  The
+// random problems scale the caps so the tightest resource's charge lands
+// at 0.9-1.1x its capacity (a third of them exactly at it), with runs,
+// weightless uses, cap-only flows, empty resources and caps a few
+// kEps apart, so both sides of the margin are taken.
+Problem feasible_caps_problem(Rng& rng) {
+  Problem p;
+  const int resources = static_cast<int>(rng.uniform_int(1, 8));
+  const int flows = static_cast<int>(rng.uniform_int(1, 16));
+  const double capacity_set[] = {0.0, 1e-12, 100.0, 100.0, 300.0};
+  for (int r = 0; r < resources; ++r) {
+    const double u = rng.uniform();
+    p.capacities.push_back(u < 0.1   ? capacity_set[rng.uniform_int(0, 1)]
+                           : u < 0.5 ? capacity_set[rng.uniform_int(2, 4)]
+                                     : rng.uniform(0.1, 1000.0));
+  }
+  const double inverse = 1.0 / static_cast<double>(rng.uniform_int(3, 40));
+  auto weight = [&] {
+    const double u = rng.uniform();
+    if (u < 0.1) return 0.0;
+    if (u < 0.5) return inverse;
+    if (u < 0.7) return 1.0;
+    return rng.uniform(0.01, 4.0);
+  };
+  const double cap_set[] = {1.0, 2.0, 2.0, 5.0};
+  p.flows.resize(static_cast<std::size_t>(flows));
+  for (FlowDemand& flow : p.flows) {
+    flow.rate_cap = rng.uniform() < 0.4 ? cap_set[rng.uniform_int(0, 3)] : rng.uniform(0.1, 5.0);
+    const int uses = rng.uniform() < 0.1 ? 0 : static_cast<int>(rng.uniform_int(1, 3));
+    for (int u = 0; u < uses; ++u) {
+      const int first = static_cast<int>(rng.uniform_int(0, resources - 1));
+      const int count =
+          rng.uniform() < 0.5 ? 1 : static_cast<int>(rng.uniform_int(1, resources - first));
+      flow.uses.push_back({first, weight(), count});
+    }
+  }
+  if (flows > 1 && rng.uniform() < 0.3) {
+    // Two caps 2.5 kEps apart: if their shared resource runs out between
+    // them, the upper flow freezes below its cap.
+    p.flows[1].rate_cap = p.flows[0].rate_cap * (1.0 + 2.5 * kEps);
+  }
+  // Scale every cap so the tightest non-empty resource's charge is
+  // `target` times its capacity.
+  std::vector<double> charge(p.capacities.size(), 0.0);
+  for (const FlowDemand& flow : p.flows) {
+    for (const ResourceUse& use : flow.uses) {
+      for (int k = 0; k < use.count; ++k) {
+        charge[static_cast<std::size_t>(use.resource + k)] += use.weight * flow.rate_cap;
+      }
+    }
+  }
+  double tightest = 0.0;
+  for (std::size_t r = 0; r < charge.size(); ++r) {
+    if (p.capacities[r] >= 1.0) tightest = std::max(tightest, charge[r] / p.capacities[r]);
+  }
+  if (tightest > 0.0) {
+    const double target = rng.uniform() < 0.3 ? 1.0 : rng.uniform(0.9, 1.1);
+    for (FlowDemand& flow : p.flows) flow.rate_cap *= target / tightest;
+  }
+  return p;
+}
+
+TEST(MaxMinFeasibleCaps, RandomCappedProblemsMatchOracleBitwise) {
+  Rng rng(0xfea51b1eULL);
+  MaxMinSolver reused;
+  for (int trial = 0; trial < 4000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Problem p = feasible_caps_problem(rng);
+    const std::vector<double> expected = max_min_allocate(p.capacities, p.flows);
+    MaxMinSolver fresh;
+    expect_bitwise(fresh.solve(p.capacities, p.flows), expected);
+    expect_bitwise(reused.solve(p.capacities, p.flows), expected);
+    // A cap move on the same problem: the cap fast path must not trust a
+    // flow the short-circuit left at its cap.
+    FlowDemand& moved = p.flows[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(p.flows.size()) - 1))];
+    moved.rate_cap *= rng.uniform(0.5, 1.5);
+    expect_bitwise(reused.solve(p.capacities, p.flows), max_min_allocate(p.capacities, p.flows));
+    if (HasFatalFailure()) return;
+  }
+  const MaxMinSolver::Stats& stats = reused.stats();
+  EXPECT_EQ(stats.calls, stats.cache_hits + stats.cap_fast_hits + stats.full_solves);
+  // Both sides of the margin are taken often.
+  EXPECT_GE(stats.cap_feasible_solves, 1000u);
+  EXPECT_GE(stats.full_solves - stats.cap_feasible_solves, 1000u);
+}
+
+// Solve on a fresh solver, compare with the oracle bitwise and report
+// whether the short-circuit answered.
+bool solve_feasible_check(const std::vector<double>& capacities,
+                          const std::vector<FlowDemand>& flows) {
+  MaxMinSolver solver;
+  expect_bitwise(solver.solve(capacities, flows), max_min_allocate(capacities, flows));
+  EXPECT_EQ(solver.stats().full_solves, 1u);
+  return solver.stats().cap_feasible_solves == 1;
+}
+
+TEST(MaxMinFeasibleCaps, FeasibleCapsAreTheAnswer) {
+  const std::vector<double> caps{100.0, 60.0};
+  std::vector<FlowDemand> flows(3);
+  flows[0].rate_cap = 30.0;
+  flows[0].uses = {{0, 1.0}, {1, 0.5}};
+  flows[1].rate_cap = 7.0;  // cap only
+  flows[2].rate_cap = 40.0;
+  flows[2].uses = {{0, 1.0, 2}};
+  MaxMinSolver solver;
+  const std::vector<double> rates = solver.solve(caps, flows);
+  EXPECT_EQ(rates, (std::vector<double>{30.0, 7.0, 40.0}));
+  EXPECT_EQ(solver.stats().cap_feasible_solves, 1u);
+}
+
+TEST(MaxMinFeasibleCaps, EmptyResourceWithUnderflowingChargeBinds) {
+  // Resource 0 has no capacity; its only positive-weight user's charge
+  // 1e-200 * 1e-200 underflows to 0, so the charges alone would call it
+  // unused.  The oracle freezes the flow at 0.
+  const std::vector<double> caps{0.0, 100.0};
+  std::vector<FlowDemand> flows(2);
+  flows[0].rate_cap = 1e-200;
+  flows[0].uses = {{0, 1e-200}, {1, 1.0}};
+  flows[1].rate_cap = 5.0;
+  flows[1].uses = {{1, 1.0}};
+  EXPECT_FALSE(solve_feasible_check(caps, flows));
+  EXPECT_EQ(max_min_allocate(caps, flows)[0], 0.0);
+  // A weightless use of the empty resource does not bind.
+  flows[0].uses[0].weight = 0.0;
+  EXPECT_TRUE(solve_feasible_check(caps, flows));
+}
+
+TEST(MaxMinFeasibleCaps, EmptyAndInfiniteCapacitiesFallBack) {
+  std::vector<FlowDemand> flows(1);
+  flows[0].rate_cap = 5.0;
+  flows[0].uses = {{0, 1.0}};
+  // Below the saturation threshold from the start.
+  EXPECT_FALSE(solve_feasible_check({1e-12}, flows));
+  EXPECT_FALSE(solve_feasible_check({0.0}, flows));
+  // An infinite capacity is at its own threshold (inf <= kEps * inf): the
+  // oracle freezes its users at 0.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(solve_feasible_check({inf}, flows));
+  EXPECT_EQ(max_min_allocate(std::vector<double>{inf}, flows)[0], 0.0);
+}
+
+TEST(MaxMinFeasibleCaps, UncappedOrBadCapsFallBack) {
+  const std::vector<double> caps{100.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {kNoCap, 0.0, -0.0, -3.0, nan}) {
+    SCOPED_TRACE("cap " + std::to_string(bad));
+    std::vector<FlowDemand> flows(2);
+    flows[0].rate_cap = bad;
+    flows[0].uses = {{0, 1.0}};
+    flows[1].rate_cap = 10.0;
+    flows[1].uses = {{0, 1.0}};
+    EXPECT_FALSE(solve_feasible_check(caps, flows));
+  }
+  // An infinite cap on a flow no resource bounds: unbounded on both paths.
+  std::vector<FlowDemand> unbounded(1);
+  unbounded[0].rate_cap = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(max_min_allocate(caps, unbounded), SmrError);
+  MaxMinSolver solver;
+  EXPECT_THROW(solver.solve(caps, unbounded), SmrError);
+}
+
+TEST(MaxMinFeasibleCaps, OverflowingWeightSumFallsBack) {
+  // Charges 1e298 fit 1e300 of capacity, but the water-fill's weight sum
+  // 2e308 overflows, which the oracle ends in its degenerate branch.
+  const std::vector<double> caps{1e300};
+  std::vector<FlowDemand> flows(2);
+  for (FlowDemand& flow : flows) {
+    flow.rate_cap = 1e-10;
+    flow.uses = {{0, 1e308}};
+  }
+  EXPECT_FALSE(solve_feasible_check(caps, flows));
+}
+
+TEST(MaxMinFeasibleCaps, ChargeAtCapacityBindsTheUpperCap) {
+  // Charges sum to the capacity exactly, yet the resource empties (below
+  // kEps * (C + 1)) once both flows reach 1.0, 2.5 kEps short of the upper
+  // cap: the water-fill freezes it there, not at its cap.
+  std::vector<FlowDemand> flows(2);
+  flows[0].rate_cap = 1.0;
+  flows[0].uses = {{0, 1.0}};
+  flows[1].rate_cap = 1.0 + 2.5 * kEps;
+  flows[1].uses = {{0, 1.0}};
+  const std::vector<double> caps{flows[0].rate_cap + flows[1].rate_cap};
+  EXPECT_FALSE(solve_feasible_check(caps, flows));
+  EXPECT_EQ(max_min_allocate(caps, flows)[1], 1.0);
+}
+
+TEST(MaxMinFeasibleCaps, ChargeAtTheMarginDecidesThePath) {
+  // One flow of weight 1 whose cap walks across the margin ulp by ulp.
+  const double capacity = 1000.0;
+  const double limit = capacity - 2.0 * (kEps * (capacity + 1.0));
+  double cap = limit / (1.0 + 1e-6);
+  for (int k = 0; k < 4; ++k) cap = std::nextafter(cap, 0.0);
+  int taken = 0;
+  for (int step = 0; step < 8; ++step, cap = std::nextafter(cap, capacity)) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<FlowDemand> flows(1);
+    flows[0].rate_cap = cap;
+    flows[0].uses = {{0, 1.0}};
+    const bool feasible = cap * (1.0 + 1e-6) < limit;
+    EXPECT_EQ(solve_feasible_check({capacity}, flows), feasible);
+    taken += feasible ? 1 : 0;
+  }
+  EXPECT_GT(taken, 0);
+  EXPECT_LT(taken, 8);
+}
+
+TEST(MaxMinFeasibleCaps, CapRaiseAfterShortCircuitResolves) {
+  // The short-circuit leaves every flow frozen by its cap, so a cap moving
+  // up re-solves instead of taking the cap fast path.
+  const std::vector<double> caps{100.0};
+  std::vector<FlowDemand> flows(2);
+  flows[0].rate_cap = 10.0;
+  flows[0].uses = {{0, 1.0}};
+  flows[1].rate_cap = 20.0;
+  flows[1].uses = {{0, 1.0}};
+  MaxMinSolver solver;
+  solver.solve(caps, flows);
+  flows[0].rate_cap = 30.0;
+  const std::vector<double> rates = solver.solve(caps, flows);
+  expect_bitwise(rates, max_min_allocate(caps, flows));
+  EXPECT_EQ(rates[0], 30.0);
+  EXPECT_EQ(solver.stats().cap_fast_hits, 0u);
+  EXPECT_EQ(solver.stats().full_solves, 2u);
+  EXPECT_EQ(solver.stats().cap_feasible_solves, 2u);
+}
+
+// Shuffle-shaped network problems: diffuse fetches capped at
+// min(backlog / dt, fetch_cap), as the runtime builds them, plus a few
+// remote reads.  Up to 16 fetches per receiver, so a receive port binds in
+// some ticks and not in others.
+TEST(MaxMinFeasibleCaps, FetchCapBoundNetworkMatchesOracleBitwise) {
+  const ClusterSpec spec = ClusterSpec::paper_testbed(37);
+  const double fetch_cap = 12.0 * static_cast<double>(kMiB);
+  const double dt = 0.25;
+  Rng rng(0x5eedfe7cULL);
+  NetworkModel net(spec);
+  std::vector<NetFlow> flows;
+  std::vector<int> streams;
+  for (int step = 0; step < 200; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (step % 20 == 0) {
+      flows.clear();
+      const auto per_node = rng.uniform_int(1, 16);
+      for (int d = 0; d < spec.worker_count(); ++d) {
+        for (std::int64_t k = rng.uniform_int(0, per_node); k > 0; --k) {
+          NetFlow flow;
+          flow.dst = static_cast<NodeId>(d);
+          if (rng.uniform() < 0.05) {
+            flow.src = static_cast<NodeId>(rng.uniform_int(0, spec.worker_count() - 1));
+          }
+          flows.push_back(flow);
+        }
+      }
+      streams.clear();
+      if (rng.uniform() < 0.5) {
+        for (int d = 0; d < spec.worker_count(); ++d) {
+          streams.push_back(static_cast<int>(rng.uniform_int(0, 40)));
+        }
+      }
+      if (flows.empty()) continue;
+    }
+    for (NetFlow& flow : flows) {
+      const double mib = static_cast<double>(kMiB);
+      const double backlog = rng.uniform() < 0.7 ? 1e9 : rng.uniform(0.0, 4.0 * mib);
+      flow.rate_cap = std::min(backlog / dt, fetch_cap);
+    }
+    expect_bitwise(net.allocate_cached(flows, streams), net.allocate(flows, streams));
+    if (HasFatalFailure()) return;
+  }
+  const MaxMinSolver::Stats stats = net.solver_stats();
+  EXPECT_GE(stats.cap_feasible_solves, 25u);
+  EXPECT_GE(stats.full_solves - stats.cap_feasible_solves, 25u);
+}
+
+TEST(MaxMinFeasibleCaps, ComputeModelMatchesOracleBitwise) {
+  const NodeSpec node;
+  Rng rng(0xc0feULL);
+  ComputeModel model;
+  for (int step = 0; step < 2000; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<PhaseLoad> loads(static_cast<std::size_t>(rng.uniform_int(1, 12)));
+    for (PhaseLoad& load : loads) {
+      load.cpu_per_byte = rng.uniform(0.05, 0.6) / static_cast<double>(kMiB);
+      load.disk_per_byte = rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.1, 2.5);
+      load.rate_cap =
+          rng.uniform() < 0.5 ? kNoCap : rng.uniform(0.5, 12.0) * static_cast<double>(kMiB);
+    }
+    const int n = static_cast<int>(loads.size());
+    const Occupancy occ{n, n, static_cast<Bytes>(rng.uniform_int(1, 3 * n)) * kGiB / 2};
+    BackgroundLoad background;
+    if (rng.uniform() < 0.3) background.disk_rate = rng.uniform(0.0, 0.8) * node.disk_bandwidth;
+    expect_bitwise(model.solve_cached(node, occ, background, loads),
+                   ComputeModel::solve(node, occ, background, loads));
+    if (HasFatalFailure()) return;
+  }
+  const MaxMinSolver::Stats stats = model.solver_stats();
+  EXPECT_GE(stats.cap_feasible_solves, 100u);
+  EXPECT_GE(stats.full_solves - stats.cap_feasible_solves, 100u);
+}
+
 TEST(MaxMinSolverDifferential, ExactRepeatHitsCache) {
   MaxMinSolver solver;
   const std::vector<double> caps{100.0};
@@ -514,6 +825,19 @@ TEST(MaxMinSolverDifferential, InvalidateForcesResolve) {
   const auto rates = solver.solve(caps, flows);
   EXPECT_DOUBLE_EQ(rates[0], 30.0);
   EXPECT_EQ(solver.stats().full_solves, 2u);
+  EXPECT_EQ(solver.stats().cache_hits, 0u);
+}
+
+TEST(MaxMinSolverDifferential, RejectedProblemIsNotCached) {
+  MaxMinSolver solver;
+  std::vector<double> caps{60.0};
+  std::vector<FlowDemand> flows(1);
+  flows[0].rate_cap = kNoCap;
+  flows[0].uses = {{0, 2.0}};
+  solver.solve(caps, flows);
+  caps[0] = -1.0;
+  EXPECT_THROW(solver.solve(caps, flows), SmrError);
+  EXPECT_THROW(solver.solve(caps, flows), SmrError);
   EXPECT_EQ(solver.stats().cache_hits, 0u);
 }
 

@@ -150,13 +150,10 @@ std::vector<BenchResult> run_span_overhead(bool smoke) {
   return results;
 }
 
-/// Allocator-registry overhead: the same terasort run four ways.  The
-/// alloc_enum/alloc_registry pair builds the SMapReduce policy from the
-/// engine enum and from the `--policy=smapreduce` registry path — both must
-/// produce the same makespan or the registry wiring changed behaviour.  The
-/// alloc_hadoopv1/alloc_karma pair checks the Karma identity: with a single
-/// tenant the credit caps never bind, so Karma must reproduce HadoopV1's
-/// makespan exactly while the wall-clock delta shows the bookkeeping cost.
+/// Allocator-arena overhead: the same terasort run under HadoopV1 and under
+/// Karma.  With a single tenant the credit caps never bind, so Karma must
+/// reproduce HadoopV1's makespan exactly while the wall-clock delta shows
+/// the bookkeeping cost.
 std::vector<BenchResult> run_alloc_overhead(bool smoke) {
   const mapreduce::JobSpec spec = workload::make_puma_job(
       workload::Puma::kTerasort, (smoke ? 4 : 30) * kGiB);
@@ -182,21 +179,6 @@ std::vector<BenchResult> run_alloc_overhead(bool smoke) {
   };
 
   std::vector<BenchResult> results;
-  driver::ExperimentConfig config =
-      driver::ExperimentConfig::paper_default(driver::EngineKind::kSMapReduce);
-  double enum_makespan = 0.0;
-  double registry_makespan = 0.0;
-  results.push_back(run_one(config, "alloc_enum", enum_makespan));
-  config.policy = alloc::parse_policy_spec("smapreduce");
-  results.push_back(run_one(config, "alloc_registry", registry_makespan));
-  if (enum_makespan != registry_makespan) {
-    std::fprintf(stderr,
-                 "smr_perfbench: registry-built policy diverged from the "
-                 "enum-built one (makespan %f != %f)\n",
-                 enum_makespan, registry_makespan);
-    std::exit(1);
-  }
-
   driver::ExperimentConfig base =
       driver::ExperimentConfig::paper_default(driver::EngineKind::kHadoopV1);
   double hadoop_makespan = 0.0;
@@ -312,9 +294,9 @@ int main(int argc, char** argv) {
   }
 
   const bool smoke = flags.get_bool("smoke");
-  const int shards = flags.get_int("shards");
+  const int shards = static_cast<int>(flags.get_int("shards"));
   const int bigcluster_nodes =
-      smoke ? 256 : flags.get_int("bigcluster-nodes");
+      smoke ? 256 : static_cast<int>(flags.get_int("bigcluster-nodes"));
   std::vector<BenchResult> results;
   results.push_back(run_fig3(smoke));
   results.push_back(run_sweep_bench(smoke));
