@@ -21,7 +21,7 @@
 // degenerates to HadoopV1 byte-for-byte — its caps never bind — which is
 // the smr_perfbench makespan-identity gate for the arena's control-plane
 // cost.  Everything here is ordered (std::map keyed by tenant name, job-id
-// order) and RNG-free, so runs stay deterministic across shards × threads.
+// order) and RNG-free, so runs stay deterministic across thread counts.
 #pragma once
 
 #include <map>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <utility>
 
 #include "smr/common/error.hpp"
 
@@ -98,13 +99,31 @@ void TaskGroup::submit(std::function<void()> task) {
     ++outstanding_;
   }
   pool_->submit([this, task = std::move(task)] {
-    task();
+    // Catch here so neither the pool's bookkeeping (inline submit,
+    // try_run_one, worker_loop) nor outstanding_ is skipped by a throw.
+    std::exception_ptr error;
+    try {
+      task();
+    } catch (...) {
+      error = std::current_exception();
+    }
     std::lock_guard<std::mutex> lock(mutex_);
+    if (error != nullptr && error_ == nullptr) error_ = std::move(error);
     if (--outstanding_ == 0) cv_done_.notify_all();
   });
 }
 
 void TaskGroup::wait() {
+  drain();
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    error = std::exchange(error_, nullptr);
+  }
+  if (error != nullptr) std::rethrow_exception(error);
+}
+
+void TaskGroup::drain() {
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(mutex_);

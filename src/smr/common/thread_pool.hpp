@@ -11,10 +11,16 @@
 // or parallel_for on the *same* pool.  The waiting task helps — it drains
 // queued pool work via try_run_one() instead of sleeping — so nested waits
 // cannot deadlock even on a single-threaded pool.
+//
+// Exceptions: a task submitted through TaskGroup (and so parallel_for) may
+// throw; the group captures the first exception and wait() rethrows it on
+// the waiting thread once every task of the group has finished.  Raw
+// ThreadPool::submit tasks must not throw.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -36,17 +42,11 @@ class ThreadPool {
 
   std::size_t thread_count() const { return threads_; }
 
-  /// Number of tasks the pool can execute simultaneously (>= 1).  An inline
-  /// pool reports 1: the submitting thread is the only executor.
-  std::size_t concurrency() const { return threads_; }
-
-  /// True when the pool spawned no workers and submit() executes the task
-  /// synchronously on the calling thread, in submission order.
-  bool inline_mode() const { return workers_.empty(); }
-
-  /// Enqueue a task.  Tasks must not throw; exceptions escaping a task
-  /// terminate the process (same policy as std::thread).  On an inline pool
-  /// the task runs to completion before submit() returns.
+  /// Enqueue a task.  Tasks must not throw: on a worker thread an escaping
+  /// exception terminates the process (same policy as std::thread), and
+  /// through try_run_one() it leaves the pool's active count raised.  Use
+  /// TaskGroup for tasks that may throw.  On an inline pool the task runs
+  /// to completion before submit() returns.
   void submit(std::function<void()> task);
 
   /// Pop and run one queued task on the calling thread.  Returns false if
@@ -77,28 +77,37 @@ class ThreadPool {
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool& pool) : pool_(&pool) {}
-  ~TaskGroup() { wait(); }
+  /// Waits for the group's tasks; an exception no wait() rethrew is dropped.
+  ~TaskGroup() { drain(); }
 
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// Enqueue a task belonging to this group.
+  /// Enqueue a task belonging to this group.  The task may throw: the
+  /// group keeps the first exception and the pool never sees it.
   void submit(std::function<void()> task);
 
-  /// Block until every task submitted to this group has finished.  Runs
-  /// queued pool tasks on the calling thread while waiting.
+  /// Block until every task submitted to this group has finished, then
+  /// rethrow the first exception a task threw (if any; once).  Runs queued
+  /// pool tasks on the calling thread while waiting.
   void wait();
 
  private:
+  /// wait() without the rethrow.
+  void drain();
+
   ThreadPool* pool_;
   std::mutex mutex_;
   std::condition_variable cv_done_;
   std::size_t outstanding_ = 0;
+  std::exception_ptr error_;
 };
 
 /// Run `fn(i)` for every i in [begin, end) using `pool`, blocking until all
 /// iterations complete.  Iterations must be independent.  Safe to call from
-/// inside a pool task (the wait helps drain the queue).
+/// inside a pool task (the wait helps drain the queue).  If `fn` throws,
+/// the rest of that chunk is skipped, the other chunks still run, and the
+/// first exception is rethrown here.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
 

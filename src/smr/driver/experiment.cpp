@@ -105,12 +105,11 @@ std::string policy_label(const ExperimentConfig& config) {
 
 metrics::RunResult run_trial(const ExperimentConfig& config,
                              const std::vector<JobSubmission>& jobs,
-                             std::uint64_t seed, ThreadPool* pool) {
+                             std::uint64_t seed) {
   SMR_CHECK(!jobs.empty());
   mapreduce::RuntimeConfig runtime_config = config.runtime;
   runtime_config.seed = seed;
   mapreduce::Runtime runtime(runtime_config, make_policy(config), make_scheduler(config));
-  if (pool != nullptr) runtime.set_thread_pool(pool);
   for (const auto& submission : jobs) {
     runtime.submit(submission.spec, submission.submit_at);
   }
@@ -125,14 +124,13 @@ metrics::RunResult run_experiment(const ExperimentConfig& config,
   // result is bit-identical whatever the pool size or completion order.
   std::vector<metrics::RunResult> trials(static_cast<std::size_t>(config.trials));
   if (config.trials == 1) {
-    trials[0] = run_trial(config, jobs, config.runtime.seed, &pool);
+    trials[0] = run_trial(config, jobs, config.runtime.seed);
   } else {
     TaskGroup group(pool);
     for (int t = 0; t < config.trials; ++t) {
-      group.submit([&config, &jobs, &trials, &pool, t] {
+      group.submit([&config, &jobs, &trials, t] {
         trials[static_cast<std::size_t>(t)] =
-            run_trial(config, jobs, config.runtime.seed + static_cast<std::uint64_t>(t),
-                      &pool);
+            run_trial(config, jobs, config.runtime.seed + static_cast<std::uint64_t>(t));
       });
     }
     group.wait();

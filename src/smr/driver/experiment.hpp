@@ -86,13 +86,10 @@ std::string policy_label(const ExperimentConfig& config);
 /// Build the job scheduler for `config`.
 std::unique_ptr<mapreduce::JobScheduler> make_scheduler(const ExperimentConfig& config);
 
-/// Run one trial with the given seed.  When `pool` is non-null and the
-/// runtime config asks for shards, the sharded tick fans out on that pool
-/// (nullptr falls back to the process default pool; the output is byte-
-/// identical either way).
+/// Run one trial with the given seed, serially on the calling thread.
 metrics::RunResult run_trial(const ExperimentConfig& config,
                              const std::vector<JobSubmission>& jobs,
-                             std::uint64_t seed, ThreadPool* pool = nullptr);
+                             std::uint64_t seed);
 
 /// Run `config.trials` trials (seeds seed, seed+1, ...) and average.
 /// Trials are independent simulations; they run concurrently on `pool`

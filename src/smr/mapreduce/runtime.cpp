@@ -28,7 +28,6 @@ void RuntimeConfig::validate() const {
   SMR_CHECK(initial_map_slots >= 0 && initial_reduce_slots >= 0);
   SMR_CHECK(initial_map_slots + initial_reduce_slots >= 1);
   SMR_CHECK(tick > 0.0);
-  SMR_CHECK(shard_count >= 1);
   SMR_CHECK(heartbeat_period > 0.0 && policy_period > 0.0 && sample_period > 0.0);
   SMR_CHECK(reduce_slowstart >= 0.0 && reduce_slowstart <= 1.0);
   SMR_CHECK(shuffle_disk_share > 0.0 && shuffle_disk_share <= 1.0);
@@ -180,7 +179,6 @@ metrics::RunResult Runtime::run() {
   // An open (serving) runtime may start empty: arrivals stream in later.
   SMR_CHECK_MSG(!jobs_.empty() || open_, "no jobs submitted");
 
-  setup_shards();
   policy_->on_start(trackers());
   // Seed the slot-target counter tracks at their initial values so the
   // trace timeline starts at t = 0 rather than the first change.
@@ -485,10 +483,6 @@ void Runtime::release_reduce_shadow_slot(std::int32_t slot) {
 
 void Runtime::on_tick() {
   if (stopping_) return;
-  if (shards_.size() > 1) {
-    on_tick_sharded();
-    return;
-  }
   const double dt = config_.tick;
   const int n = config_.cluster.worker_count();
   TickScratch& t = tick_;
@@ -964,8 +958,7 @@ void Runtime::on_tick() {
   finish_tick();
 }
 
-// Completions and shuffle settles of the tick, in task-id order: the tail
-// shared by the serial and the sharded tick.
+// Completions and shuffle settles of the tick, in task-id order.
 void Runtime::finish_tick() {
   TickScratch& t = tick_;
   // Deterministic completion order (the compute sweep is in node order, not
@@ -2098,24 +2091,6 @@ void Runtime::on_sample() {
   slot_sample.running_maps /= nt;
   slot_sample.running_reduces /= nt;
   result_.slots.push_back(slot_sample);
-
-  // Per-shard window-occupancy / barrier-stall series (shards.json only;
-  // the occupancy numbers are deterministic, the stall is wall-clock).
-  if (shards_.size() > 1) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      ShardScratch& shard = shards_[s];
-      ShardStats& stats = shard_stats_[s];
-      const double mean =
-          shard.stat_windows > 0
-              ? static_cast<double>(shard.stat_entries) /
-                    static_cast<double>(shard.stat_windows)
-              : 0.0;
-      stats.occupancy_series.emplace_back(now, mean);
-      stats.stall_series.emplace_back(now, stats.barrier_stall_s);
-      shard.stat_entries = 0;
-      shard.stat_windows = 0;
-    }
-  }
 }
 
 void Runtime::record_metric_samples(SimTime now) {

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
@@ -41,10 +40,6 @@
 #include "smr/obs/span_log.hpp"
 #include "smr/sim/engine.hpp"
 
-namespace smr {
-class ThreadPool;  // common/thread_pool.hpp; only the cpp needs the definition
-}
-
 namespace smr::mapreduce {
 
 struct RuntimeConfig {
@@ -56,17 +51,6 @@ struct RuntimeConfig {
 
   /// Fluid integration step.
   SimTime tick = 0.25;
-  /// Sharded parallel tick: the worker nodes are partitioned into this many
-  /// contiguous shards and each tick's data plane (census, flow collection,
-  /// per-node solves, progress integration) runs shard-parallel on a thread
-  /// pool inside a conservative time window (one tick — strictly shorter
-  /// than the minimum cross-shard latency, the heartbeat period).
-  /// Cross-shard effects (job-level float accumulation, trace events,
-  /// completions) are buffered in per-shard mailboxes and drained at the
-  /// window barrier in (shard, sequence) order, which equals node order, so
-  /// every output is byte-identical to the serial engine for any fixed
-  /// shard count and any thread count.  1 = the serial tick path.
-  int shard_count = 1;
   /// Task tracker heartbeat period (Hadoop default 3 s), staggered across
   /// trackers.
   SimTime heartbeat_period = 3.0;
@@ -288,37 +272,6 @@ class Runtime {
   /// compute model plus the network model (perf instrumentation).
   cluster::MaxMinSolver::Stats solver_stats() const;
 
-  /// Thread pool for the sharded tick (must outlive run()).  Unset with
-  /// shard_count > 1 falls back to default_thread_pool().  The pool size
-  /// never changes results: shard boundaries come from shard_count alone,
-  /// and an inline (1-thread) pool runs the shards serially in shard order.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
-  /// Per-shard window statistics (empty unless shard_count > 1).  The
-  /// occupancy numbers are deterministic (resolved attempts per window);
-  /// barrier_stall_s is wall-clock time the shard spent finished-but-
-  /// waiting at window barriers, so it varies run to run and is reported
-  /// through the separate shards.json artifact, never the compared ones.
-  struct ShardStats {
-    int shard = 0;
-    NodeId node_begin = 0;
-    NodeId node_end = 0;             // exclusive
-    std::uint64_t windows = 0;       // parallel windows executed
-    std::uint64_t entries = 0;       // resolved attempts summed over windows
-    std::uint64_t entries_peak = 0;  // max resolved attempts in one window
-    double barrier_stall_s = 0.0;    // wall-clock barrier wait, cumulative
-    /// Sampled series (sim time, value), appended every sample period:
-    /// mean window occupancy since the previous sample, and the cumulative
-    /// barrier stall at that instant.
-    std::vector<std::pair<SimTime, double>> occupancy_series;
-    std::vector<std::pair<SimTime, double>> stall_series;
-  };
-  std::span<const ShardStats> shard_stats() const { return shard_stats_; }
-  // (write_shard_stats_json, declared after the class, serialises these.)
-  /// Effective shard count (config clamped to the node count); 1 = serial.
-  int shard_count() const {
-    return shards_.empty() ? 1 : static_cast<int>(shards_.size());
-  }
 
  private:
   struct TaskRef {
@@ -333,20 +286,6 @@ class Runtime {
   };
 
   void on_tick();
-  /// Shard-parallel tick body (shards_.size() > 1): same stages as
-  /// on_tick(), with the per-node work fanned out over the shards and all
-  /// cross-shard effects applied at the barrier in shard order.  Byte-
-  /// identical to on_tick() by construction (see docs/PERF.md §7).
-  void on_tick_sharded();
-  /// Partition the nodes into config_.shard_count contiguous shards and
-  /// size the per-shard scratch; no-op for shard_count <= 1.
-  void setup_shards();
-  // Per-shard window bodies (runtime_shard.cpp): each runs on the pool and
-  // writes only shard-owned state.
-  struct ShardScratch;
-  void shard_census(ShardScratch& s, bool detect_doom);
-  void shard_collect_flows(ShardScratch& s);
-  void shard_solve_integrate(ShardScratch& s);
   void on_heartbeat(std::size_t tracker_index);
   void on_policy_period();
   void on_sample();
@@ -583,80 +522,6 @@ class Runtime {
     std::vector<TaskId> doomed_maps, doomed_reduces;
   };
   TickScratch tick_;
-  /// Per-shard tick scratch for the sharded parallel tick.  Mirrors
-  /// TickScratch over the shard's contiguous node range only, node-indexed
-  /// arrays in local node space (global node = node_lo + local).  During a
-  /// window everything here is written exclusively by the owning shard;
-  /// the mailboxes are drained serially at the barrier.
-  struct ShardScratch {
-    int index = 0;
-    NodeId node_lo = 0;
-    NodeId node_hi = 0;  // exclusive
-    // Running tasks, resolved per census, shard-node order (SoA).
-    std::vector<TaskId> map_id, red_id;
-    std::vector<MapTask*> map_task;
-    std::vector<ReduceTask*> red_task;
-    std::vector<Job*> map_job, red_job;
-    std::vector<const JobSpec*> map_spec, red_spec;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> map_range, red_range;
-    std::vector<cluster::Occupancy> occ;
-    std::vector<std::uint8_t> node_has_remote;
-    std::vector<std::uint32_t> shuffle_entries, remote_entries;
-    std::vector<TaskId> settle_primaries, settle_shadows;
-    std::vector<TaskId> doomed_maps, doomed_reduces;
-    // Network stage: flows whose destination is on this shard, copied into
-    // the global array at flow_base for the single cluster-wide solve.
-    std::vector<cluster::NetFlow> flows;
-    std::vector<std::uint32_t> flow_entry;
-    std::vector<std::uint8_t> flow_is_shuffle;
-    std::size_t flow_base = 0;
-    std::vector<double> shuffle_disk_demand, shuffle_scale;
-    std::vector<cluster::BackgroundLoad> background;
-    std::vector<cluster::PhaseLoad> loads;
-    std::vector<std::uint32_t> load_entry;
-    std::vector<std::uint8_t> load_is_map;
-    std::vector<TickScratch::ComputeRate> compute;
-    // Mailboxes: job-level float deltas and trace events produced inside
-    // the window, replayed at the barrier in shard order (== node order ==
-    // the serial accumulation order, hence byte-identical sums).
-    struct FpDelta {
-      Job* job;
-      double delta;
-    };
-    std::vector<FpDelta> shuffle_deltas;    // bytes_shuffled + cum_shuffled_
-    std::vector<FpDelta> map_input_deltas;  // map_input_processed + cum_map_input_
-    struct TraceBuf {
-      metrics::TraceEventKind kind;
-      JobId job;
-      TaskId task;
-      NodeId node;
-      bool is_map;
-      const char* detail;
-    };
-    std::vector<TraceBuf> trace_events;
-    std::vector<TaskId> finished_maps, finished_reduces;
-    /// Some owned task changed phase inside the window; OR'd into the
-    /// global + per-shard dirty flags at the barrier.
-    bool phase_dirty = false;
-    // Shard-local census quiescence (same scheme as the serial fields).
-    std::uint64_t resolve_version_sum = ~std::uint64_t{0};
-    std::size_t resolve_jobs_size = ~std::size_t{0};
-    /// Wall-clock instant (steady-clock seconds) this shard finished the
-    /// current parallel stage; barrier stall = window max minus this.
-    double stage_end = 0.0;
-    // Occupancy accumulators since the last sample (series points).
-    std::uint64_t stat_entries = 0;
-    std::uint64_t stat_windows = 0;
-  };
-  std::vector<ShardScratch> shards_;
-  std::vector<ShardStats> shard_stats_;
-  /// node -> owning shard; empty when running serially.
-  std::vector<std::uint16_t> node_shard_;
-  /// Per-shard census phase-dirty flags: set by the (serial) control plane
-  /// through mark_node_dirty and by each shard's own window transitions,
-  /// consumed and cleared by the owning shard's census.
-  std::vector<std::uint8_t> shard_phase_dirty_;
-  ThreadPool* pool_ = nullptr;
   /// Guard for reusing the tick's SoA ref arrays across ticks: the arrays
   /// are a pure function of the tracker running lists (membership + order)
   /// and of the job/shadow storage those ids resolve into.  The summed
@@ -687,9 +552,6 @@ class Runtime {
     census_phase_dirty_ = true;
     if (node >= 0 && static_cast<std::size_t>(node) < node_dirty_.size()) {
       node_dirty_[static_cast<std::size_t>(node)] = 1;
-      if (!node_shard_.empty()) {
-        shard_phase_dirty_[node_shard_[static_cast<std::size_t>(node)]] = 1;
-      }
     }
   }
   /// Remote-read network grants, epoch-stamped by tick so the table never
@@ -819,12 +681,5 @@ class Runtime {
   /// Serving mode: while true the run never stops on an empty job queue.
   bool open_ = false;
 };
-
-/// Serialise the runtime's per-shard window statistics as one JSON object
-/// ({"shard_count": N, "shards": [...]}) with fixed-precision decimals.
-/// The barrier-stall fields are wall-clock measurements, so shards.json is
-/// *excluded* from the byte-compared determinism artifact set; every other
-/// field (windows, entries, occupancy series) is deterministic.
-void write_shard_stats_json(const Runtime& runtime, std::ostream& out);
 
 }  // namespace smr::mapreduce

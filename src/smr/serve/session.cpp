@@ -81,7 +81,6 @@ ServeReport ServeSession::execute(ArrivalTrace trace,
   if (trace_log_ != nullptr) runtime_->set_trace(trace_log_);
   if (spans_ != nullptr) runtime_->set_spans(spans_);
   if (decisions_ != nullptr) runtime_->policy().set_decision_log(decisions_);
-  if (pool_ != nullptr) runtime_->set_thread_pool(pool_);
   runtime_->set_job_finished_callback(
       [this](const mapreduce::Job& job) { on_job_finished(job); });
 

@@ -105,16 +105,11 @@ class ServeSession {
   /// the measurement window [warmup, horizon).  Purely observational.
   void set_fairness(alloc::FairnessTracker* fairness) { fairness_ = fairness; }
 
-  /// Thread pool for the runtime's sharded tick (optional; must outlive
-  /// the run; call before run()/replay()).  Pool size never changes
-  /// results.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-
   /// Burn-rate alerts fired during the run, in time order.  Valid after
   /// run()/replay() returned.
   const std::vector<BurnAlert>& burn_alerts() const;
 
-  /// The underlying runtime (per-shard window stats, engine counters).
+  /// The underlying runtime (engine and solver counters).
   /// Valid after run()/replay() returned; nullptr before.
   const mapreduce::Runtime* runtime() const { return runtime_.get(); }
 
@@ -150,7 +145,6 @@ class ServeSession {
   obs::SpanLog* spans_ = nullptr;
   obs::DecisionLog* decisions_ = nullptr;
   alloc::FairnessTracker* fairness_ = nullptr;
-  ThreadPool* pool_ = nullptr;
   std::unique_ptr<mapreduce::Runtime> runtime_;
   std::unique_ptr<SloTracker> tracker_;
   std::unique_ptr<BurnRateTracker> burn_;

@@ -1,6 +1,7 @@
 // Determinism harness for the registry allocators: every new policy must
-// produce bit-identical results across --shards=N and thread-pool sizes,
-// with multi-tenant contention keeping its caps actually binding.
+// produce bit-identical results whether its trials run serially on the
+// calling thread or fan out over a thread pool of any size, with
+// multi-tenant contention keeping its caps actually binding.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -58,29 +59,29 @@ void expect_bitwise_equal(const metrics::RunResult& a,
 
 class AllocDeterminism : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(AllocDeterminism, ShardedBitIdenticalToSerialAcrossPoolSizes) {
+TEST_P(AllocDeterminism, BitIdenticalAcrossPoolSizes) {
   ExperimentConfig config =
       ExperimentConfig::paper_default(EngineKind::kHadoopV1);
   config.runtime.cluster = cluster::ClusterSpec::paper_testbed(4);
-  config.trials = 1;
+  config.trials = 3;
   config.policy = alloc::parse_policy_spec(GetParam());
   const std::vector<JobSubmission> jobs = tenant_jobs();
 
+  // The serial reference: each trial on this thread, averaged in order.
+  std::vector<metrics::RunResult> trials;
+  for (int t = 0; t < config.trials; ++t) {
+    trials.push_back(run_trial(config, jobs,
+                               config.runtime.seed + static_cast<std::uint64_t>(t)));
+  }
+  const metrics::RunResult serial = metrics::average_trials(trials);
+  ASSERT_TRUE(serial.completed);
   ThreadPool one(1);
   ThreadPool many(16);
-  const metrics::RunResult serial = run_experiment(config, jobs, one);
-  ASSERT_TRUE(serial.completed);
-  for (int shards : {2, 4}) {
-    config.runtime.shard_count = shards;
-    for (ThreadPool* pool : {&one, &many}) {
-      SCOPED_TRACE(std::string(GetParam()) + " shards=" +
-                   std::to_string(shards) +
-                   " threads=" + std::to_string(pool->thread_count()));
-      expect_bitwise_equal(serial, run_experiment(config, jobs, *pool));
-    }
+  for (ThreadPool* pool : {&one, &many}) {
+    SCOPED_TRACE(std::string(GetParam()) +
+                 " threads=" + std::to_string(pool->thread_count()));
+    expect_bitwise_equal(serial, run_experiment(config, jobs, *pool));
   }
-  config.runtime.shard_count = 1;
-  expect_bitwise_equal(serial, run_experiment(config, jobs, many));
 }
 
 INSTANTIATE_TEST_SUITE_P(RegistryPolicies, AllocDeterminism,

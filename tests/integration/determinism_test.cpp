@@ -129,85 +129,6 @@ TEST(Determinism, SweepBitIdenticalAcrossPoolSizes) {
   }
 }
 
-TEST(Determinism, ShardedBitIdenticalToSerialAcrossShardAndPoolSizes) {
-  // Tentpole invariant: for a fixed workload, --shards=N must produce the
-  // same bytes as the serial engine for every N and every thread count
-  // (shard_count above the node count clamps; a 1-thread pool runs the
-  // shard windows inline in shard order).
-  for (EngineKind engine : all_engines()) {
-    ExperimentConfig config = small_config(engine, 1);
-    ThreadPool one(1);
-    ThreadPool many(16);
-    const metrics::RunResult serial = run_experiment(config, small_jobs(), one);
-    for (int shards : {2, 4, 8}) {
-      config.runtime.shard_count = shards;
-      for (ThreadPool* pool : {&one, &many}) {
-        SCOPED_TRACE(std::string(engine_name(engine)) + " shards=" +
-                     std::to_string(shards) +
-                     " threads=" + std::to_string(pool->thread_count()));
-        const metrics::RunResult sharded =
-            run_experiment(config, small_jobs(), *pool);
-        expect_bitwise_equal(serial, sharded);
-        EXPECT_EQ(serial.solver_calls, sharded.solver_calls);
-        EXPECT_EQ(serial.solver_full_solves, sharded.solver_full_solves);
-      }
-    }
-  }
-}
-
-TEST(Determinism, ShardedMultiJobFairSchedulerBitIdentical) {
-  // Scheduler interleavings + speculation under shards: the control plane
-  // stays serial, so job ordering decisions cannot depend on the shard
-  // layout.
-  workload::SyntheticMixConfig mix;
-  mix.jobs = 4;
-  mix.min_input = kGiB;
-  mix.max_input = 4 * kGiB;
-  mix.reduce_tasks = 8;
-  mix.seed = 11;
-  ExperimentConfig config = small_config(EngineKind::kSMapReduce, 1);
-  config.scheduler = SchedulerKind::kFair;
-  std::vector<JobSubmission> jobs;
-  for (auto& job : workload::make_synthetic_mix(mix)) {
-    jobs.push_back({std::move(job.spec), job.submit_at});
-  }
-  ThreadPool one(1);
-  ThreadPool many(16);
-  const metrics::RunResult serial = run_experiment(config, jobs, one);
-  for (int shards : {2, 4}) {
-    config.runtime.shard_count = shards;
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    expect_bitwise_equal(serial, run_experiment(config, jobs, many));
-  }
-}
-
-TEST(Determinism, ShardedFaultInjectionCrossShardBitIdentical) {
-  // The hard case: node 3 (last shard when shards > 1) dies mid-run while
-  // reduce tasks of the same jobs run on nodes 0-1 (first shard), so the
-  // tracker teardown, completed-map requeues and reduce backlog clawback
-  // all cross shard boundaries.  Attempt-level fault injection keeps the
-  // doom-detection census loop hot at the same time.
-  ExperimentConfig config = small_config(EngineKind::kSMapReduce, 1);
-  config.runtime.failures.push_back({/*node=*/3, /*at=*/120.0,
-                                     /*recover_at=*/600.0});
-  config.runtime.task_fail_rate = 0.08;
-  std::vector<JobSubmission> jobs = small_jobs();
-  ThreadPool one(1);
-  ThreadPool many(16);
-  const metrics::RunResult serial = run_experiment(config, jobs, one);
-  for (int shards : {2, 4}) {
-    config.runtime.shard_count = shards;
-    for (ThreadPool* pool : {&one, &many}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " threads=" + std::to_string(pool->thread_count()));
-      const metrics::RunResult sharded = run_experiment(config, jobs, *pool);
-      expect_bitwise_equal(serial, sharded);
-      EXPECT_EQ(serial.solver_calls, sharded.solver_calls);
-      EXPECT_EQ(serial.solver_full_solves, sharded.solver_full_solves);
-    }
-  }
-}
-
 TEST(Determinism, SolverCountersAreDeterministic) {
   // The solver's cache-hit pattern is part of the deterministic state: the
   // same run must take exactly the same fast paths every time.

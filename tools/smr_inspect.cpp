@@ -15,7 +15,6 @@
 //   decisions.csv    smr_sim --decisions-out
 //   report.json      smr_serve --report-out
 //   alerts.jsonl     smr_serve --alerts-out
-//   shards.json      smr_sim/smr_serve --shards-out
 //   fairness.json    smr_serve --fairness-out (single run, sweep or frontier)
 //
 // `summary` prints one digest per artifact.  `diff` compares the shared
@@ -88,20 +87,6 @@ struct RunData {
   // fairness.json: one entry per report ({"reports":[...]} is flattened,
   // a bare single-run report becomes one entry)
   std::vector<JsonValue> fairness;
-
-  // shards.json (sharded-engine window stats; empty when absent or when
-  // the run used --shards=1 implicitly)
-  struct ShardInfo {
-    int shard = 0;
-    int node_begin = 0;
-    int node_end = 0;
-    double windows = 0.0;
-    double entries = 0.0;
-    double entries_peak = 0.0;
-    double mean_occupancy = 0.0;
-    double barrier_stall_s = 0.0;
-  };
-  std::vector<ShardInfo> shards;
 };
 
 bool load_run(const std::string& dir, RunData& run, std::string& error) {
@@ -216,33 +201,10 @@ bool load_run(const std::string& dir, RunData& run, std::string& error) {
     }
   }
 
-  if (const auto text = slurp(dir + "/shards.json")) {
-    const auto doc = parse_json(*text, &error);
-    if (!doc) {
-      error = dir + "/shards.json: " + error;
-      return false;
-    }
-    run.any = true;
-    if (const JsonValue* shards = doc->find("shards"); shards != nullptr) {
-      for (const JsonValue& entry : shards->as_array()) {
-        RunData::ShardInfo info;
-        info.shard = static_cast<int>(entry.number_or("shard", 0.0));
-        info.node_begin = static_cast<int>(entry.number_or("node_begin", 0.0));
-        info.node_end = static_cast<int>(entry.number_or("node_end", 0.0));
-        info.windows = entry.number_or("windows", 0.0);
-        info.entries = entry.number_or("entries", 0.0);
-        info.entries_peak = entry.number_or("entries_peak", 0.0);
-        info.mean_occupancy = entry.number_or("mean_occupancy", 0.0);
-        info.barrier_stall_s = entry.number_or("barrier_stall_s", 0.0);
-        run.shards.push_back(info);
-      }
-    }
-  }
-
   if (!run.any) {
     error = dir + ": no artifacts found (expected metrics.jsonl, "
                   "spans.jsonl, critpath.json, decisions.csv, report.json, "
-                  "alerts.jsonl, fairness.json or shards.json)";
+                  "alerts.jsonl or fairness.json)";
     return false;
   }
   return true;
@@ -334,17 +296,6 @@ int summarize(const RunData& run) {
     }
   }
 
-  if (!run.shards.empty()) {
-    std::printf("\nshards.json: %zu shards\n", run.shards.size());
-    std::printf("  %5s %11s %8s %9s %10s %10s %9s\n", "shard", "nodes",
-                "windows", "entries", "peak_occ", "mean_occ", "stall_s");
-    for (const RunData::ShardInfo& s : run.shards) {
-      std::printf("  %5d %5d-%-5d %8.0f %9.0f %10.0f %10.2f %9.3f\n", s.shard,
-                  s.node_begin, s.node_end, s.windows, s.entries,
-                  s.entries_peak, s.mean_occupancy, s.barrier_stall_s);
-    }
-  }
-
   std::printf("\nalerts.jsonl: %zu burn-rate alerts", run.alerts);
   if (run.alerts > 0) std::printf(" (max burn %.2fx)", run.max_burn);
   std::printf("\n");
@@ -374,8 +325,6 @@ int diff(const RunData& base, const RunData& cand, const FlagSet& flags) {
   const double makespan_threshold = flags.get_double("makespan-threshold");
   const double segment_threshold = flags.get_double("segment-threshold");
   const double segment_floor = flags.get_double("segment-floor");
-  const double stall_threshold = flags.get_double("stall-threshold");
-  const double stall_floor = flags.get_double("stall-floor");
 
   std::vector<DiffLine> lines;
 
@@ -438,39 +387,6 @@ int diff(const RunData& base, const RunData& cand, const FlagSet& flags) {
     makespan.regression = regressed(makespan.base, makespan.cand,
                                     makespan_threshold, segment_floor);
     lines.push_back(makespan);
-  }
-
-  // Sharded-engine window stats.  barrier_stall_s is wall-clock (noisy
-  // run to run), so the stall floor does the heavy lifting; occupancy is
-  // simulation-derived and compared per shard.  Shard-count changes
-  // between runs are reported but never a regression by themselves — the
-  // simulation outputs are byte-identical across shard counts.
-  if (!base.shards.empty() && !cand.shards.empty()) {
-    if (base.shards.size() != cand.shards.size()) {
-      DiffLine count;
-      count.what = "shards.count";
-      count.base = static_cast<double>(base.shards.size());
-      count.cand = static_cast<double>(cand.shards.size());
-      count.note = "shard count changed; per-shard diff skipped";
-      lines.push_back(count);
-    } else {
-      for (std::size_t i = 0; i < base.shards.size(); ++i) {
-        DiffLine stall;
-        stall.what = "shard" + std::to_string(i) + ".barrier_stall_s";
-        stall.base = base.shards[i].barrier_stall_s;
-        stall.cand = cand.shards[i].barrier_stall_s;
-        stall.regression =
-            regressed(stall.base, stall.cand, stall_threshold, stall_floor);
-        lines.push_back(stall);
-        DiffLine occupancy;
-        occupancy.what = "shard" + std::to_string(i) + ".mean_occupancy";
-        occupancy.base = base.shards[i].mean_occupancy;
-        occupancy.cand = cand.shards[i].mean_occupancy;
-        occupancy.regression = regressed(occupancy.base, occupancy.cand,
-                                         segment_threshold, segment_floor);
-        lines.push_back(occupancy);
-      }
-    }
   }
 
   // Fairness reports matched by policy label.  These metrics regress in
@@ -574,12 +490,6 @@ int run(int argc, char** argv) {
   flags.define_double("segment-floor", 1.0,
                       "diff: absolute growth (s) below which a segment "
                       "change is ignored");
-  flags.define_double("stall-threshold", 0.25,
-                      "diff: tolerated relative growth of any one shard's "
-                      "barrier stall");
-  flags.define_double("stall-floor", 0.5,
-                      "diff: absolute barrier-stall growth (s) below which "
-                      "the change is ignored (wall-clock noise guard)");
   flags.define_double("jain-drop", 0.02,
                       "diff: tolerated absolute drop of a fairness report's "
                       "Jain index");

@@ -3,21 +3,18 @@
 //   smr_perfbench                 # full suite: fig3 + sweep + bigcluster
 //   smr_perfbench --smoke         # seconds-long CI smoke subset
 //   smr_perfbench --out=BENCH_9.json
-//   smr_perfbench --bigcluster-nodes=10000 --shards=16   # 16-core target
 //
 // Each entry runs real simulations through the driver and reports
 // wall-clock, engine events dispatched, events/sec, and the incremental
 // max-min solver's call/full-solve counters (full < calls means the
-// solver cache is doing its job).  The bigcluster pair times the same
-// large-cluster batch serially (--shards=1) and sharded (--shards=N) and
-// aborts unless both produce the same makespan — the sharded engine's
-// byte-identity guarantee, measured here as a speedup.  Results go to
-// stdout as a table and to --out as JSON-lines, one {"type":"bench",...}
-// object per entry plus one {"type":"meta",...} header (host_cores records
-// the machine so single-core runs are not mistaken for parallel speedup
-// measurements).  All numbers are fixed-precision decimals — no scientific
-// notation, so downstream diff tools can parse them naively.  See
-// docs/PERF.md.
+// solver cache is doing its job).  The bigcluster entry times one
+// two-job terasort batch on a 2 000-node cluster (256 nodes in smoke
+// mode).  Results go to stdout as a table and to --out as JSON-lines, one
+// {"type":"bench",...} object per entry plus one {"type":"meta",...}
+// header (threads and host_cores record the pool the trial- and
+// cell-parallel entries ran on).  All numbers are fixed-precision
+// decimals — no scientific notation, so downstream diff tools can parse
+// them naively.  See docs/PERF.md.
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -196,17 +193,12 @@ std::vector<BenchResult> run_alloc_overhead(bool smoke) {
   return results;
 }
 
-/// The sharded-engine benchmark: a terasort batch on a large cluster, run
-/// once serially and once with --shards=N on the default pool.  Both runs
-/// must agree on makespan (sharding is byte-identical); the wall-clock
-/// ratio is the parallel speedup.  On a single-core host the sharded entry
-/// instead measures the window/mailbox overhead — check meta.host_cores
-/// before reading the ratio as a speedup.
-std::vector<BenchResult> run_bigcluster(bool smoke, int nodes, int shards) {
+/// A two-staggered-job terasort batch on a large cluster, one serial run.
+BenchResult run_bigcluster(bool smoke) {
   driver::ExperimentConfig config =
       driver::ExperimentConfig::paper_default(driver::EngineKind::kSMapReduce);
   config.trials = 1;
-  config.runtime.cluster = cluster::ClusterSpec::paper_testbed(nodes);
+  config.runtime.cluster = cluster::ClusterSpec::paper_testbed(smoke ? 256 : 2000);
   const Bytes input = (smoke ? 24 : 512) * kGiB;
   std::vector<driver::JobSubmission> jobs;
   for (int j = 0; j < 2; ++j) {
@@ -214,35 +206,19 @@ std::vector<BenchResult> run_bigcluster(bool smoke, int nodes, int shards) {
                     30.0 * j});
   }
 
-  std::vector<BenchResult> results;
-  double makespans[2] = {0.0, 0.0};
-  const int shard_counts[2] = {1, shards};
-  for (int i = 0; i < 2; ++i) {
-    config.runtime.shard_count = shard_counts[i];
-    BenchResult result;
-    result.name = (smoke ? "bigcluster_smoke_s" : "bigcluster_s") +
-                  std::to_string(shard_counts[i]);
-    obs::Stopwatch stopwatch;
-    const metrics::RunResult run = driver::run_trial(config, jobs, 1);
-    result.wall_seconds = stopwatch.seconds();
-    makespans[i] = run.makespan;
-    result.events = run.engine_events;
-    result.solver_calls = run.solver_calls;
-    result.solver_full_solves = run.solver_full_solves;
-    results.push_back(result);
-  }
-  if (makespans[0] != makespans[1]) {
-    std::fprintf(stderr,
-                 "smr_perfbench: sharding perturbed the simulation "
-                 "(makespan %f != %f)\n",
-                 makespans[0], makespans[1]);
-    std::exit(1);
-  }
-  return results;
+  BenchResult result;
+  result.name = smoke ? "bigcluster_smoke" : "bigcluster";
+  obs::Stopwatch stopwatch;
+  const metrics::RunResult run = driver::run_trial(config, jobs, 1);
+  result.wall_seconds = stopwatch.seconds();
+  result.events = run.engine_events;
+  result.solver_calls = run.solver_calls;
+  result.solver_full_solves = run.solver_full_solves;
+  return result;
 }
 
 void write_json(const std::string& path, const std::vector<BenchResult>& results,
-                bool smoke, int shards) {
+                bool smoke) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "smr_perfbench: cannot write %s\n", path.c_str());
@@ -255,8 +231,7 @@ void write_json(const std::string& path, const std::vector<BenchResult>& results
   out << "{\"type\":\"meta\",\"tool\":\"smr_perfbench\",\"mode\":\""
       << (smoke ? "smoke" : "full")
       << "\",\"threads\":" << default_thread_pool().thread_count()
-      << ",\"host_cores\":" << std::thread::hardware_concurrency()
-      << ",\"shards\":" << shards << "}\n";
+      << ",\"host_cores\":" << std::thread::hardware_concurrency() << "}\n";
   for (const BenchResult& r : results) {
     out << "{\"type\":\"bench\",\"name\":\"" << r.name
         << "\",\"wall_seconds\":" << std::setprecision(6) << r.wall_seconds
@@ -276,11 +251,6 @@ int main(int argc, char** argv) {
   FlagSet flags("Time the simulator's figure workloads and report engine/solver rates.");
   flags.define_bool("smoke", false, "run the seconds-long CI subset");
   flags.define_string("out", "BENCH_9.json", "JSON-lines output path ('' to skip)");
-  flags.define_int("shards", 8,
-                   "shard count for the sharded bigcluster entry");
-  flags.define_int("bigcluster-nodes", 2000,
-                   "cluster size for the full-mode bigcluster pair (the "
-                   "16-core target configuration is 10000)");
   flags.define_bool("help", false, "print this help");
 
   if (!flags.parse(argc, argv)) {
@@ -294,29 +264,24 @@ int main(int argc, char** argv) {
   }
 
   const bool smoke = flags.get_bool("smoke");
-  const int shards = static_cast<int>(flags.get_int("shards"));
-  const int bigcluster_nodes =
-      smoke ? 256 : static_cast<int>(flags.get_int("bigcluster-nodes"));
   std::vector<BenchResult> results;
   results.push_back(run_fig3(smoke));
   results.push_back(run_sweep_bench(smoke));
   for (BenchResult& r : run_span_overhead(smoke)) results.push_back(std::move(r));
   for (BenchResult& r : run_alloc_overhead(smoke)) results.push_back(std::move(r));
-  for (BenchResult& r : run_bigcluster(smoke, bigcluster_nodes, shards)) {
-    results.push_back(std::move(r));
-  }
+  results.push_back(run_bigcluster(smoke));
 
-  std::printf("%-14s %12s %14s %14s %14s %14s %10s\n", "bench", "wall_s",
+  std::printf("%-16s %12s %14s %14s %14s %14s %10s\n", "bench", "wall_s",
               "events", "events/s", "solver_calls", "full_solves", "hit_rate");
   for (const BenchResult& r : results) {
-    std::printf("%-14s %12.3f %14" PRIu64 " %14.0f %14" PRIu64 " %14" PRIu64
+    std::printf("%-16s %12.3f %14" PRIu64 " %14.0f %14" PRIu64 " %14" PRIu64
                 " %9.1f%%\n",
                 r.name.c_str(), r.wall_seconds, r.events, r.events_per_sec(),
                 r.solver_calls, r.solver_full_solves, 100.0 * r.solver_hit_rate());
   }
 
   if (const std::string path = flags.get_string("out"); !path.empty()) {
-    write_json(path, results, smoke, shards);
+    write_json(path, results, smoke);
   }
   return 0;
 }

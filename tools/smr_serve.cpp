@@ -117,12 +117,6 @@ int run(int argc, char** argv) {
   flags.define_int("max-pending", 0,
                    "defer-queue bound (0 = unbounded; --admission=defer)");
   flags.define_int("seed", 1, "RNG seed (arrivals + runtime)");
-  flags.define_int("shards", 1,
-                   "partition the cluster into N shards and advance them in "
-                   "parallel (byte-identical to --shards=1)");
-  flags.define_string("shards-out", "",
-                      "write per-shard window statistics JSON (single run "
-                      "only; wall-clock stall fields are not byte-stable)");
   flags.define_string("arrivals-csv", "",
                       "replay arrivals from CSV (tenant,benchmark,input_gib,"
                       "arrive_at[,slo_class,deadline_s]) instead of generating");
@@ -204,8 +198,6 @@ int run(int argc, char** argv) {
   config.warmup = flags.get_double("warmup");
   config.drain_limit = flags.get_double("drain-limit");
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  config.experiment.runtime.shard_count =
-      static_cast<int>(flags.get_int("shards"));
   config.burn.window = flags.get_double("burn-window");
   config.burn.target = flags.get_double("burn-target");
   config.burn.threshold = flags.get_double("burn-threshold");
@@ -443,15 +435,6 @@ int run(int argc, char** argv) {
     std::ofstream out(path);
     if (!out) return fail("cannot write " + path);
     session.write_burn_alerts_jsonl(out);
-  }
-  if (const std::string path = flags.get_string("shards-out"); !path.empty()) {
-    std::ofstream out(path);
-    if (!out || session.runtime() == nullptr) {
-      return fail("cannot write " + path);
-    }
-    mapreduce::write_shard_stats_json(*session.runtime(), out);
-    std::printf("shard stats (%d shards) written to %s\n",
-                session.runtime()->shard_count(), path.c_str());
   }
   return report.completed ? 0 : 2;
 }

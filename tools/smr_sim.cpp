@@ -121,10 +121,6 @@ int run(int argc, char** argv) {
                    "reduce-slots rule");
   flags.define_int("trials", 1, "trials to average");
   flags.define_int("seed", 1, "base RNG seed");
-  flags.define_int("shards", 1,
-                   "partition the cluster into N shards and advance them in "
-                   "parallel (conservative time windows; byte-identical to "
-                   "--shards=1 for any thread count)");
   flags.define_bool("heterogeneous", false,
                     "half the nodes at half speed/memory (future-work setup)");
   flags.define_bool("per-node-targets", false,
@@ -165,10 +161,6 @@ int run(int argc, char** argv) {
   flags.define_string("critpath-out", "",
                       "write the per-job critical-path attribution "
                       "(wait/transfer/compute/retry/overhead) as JSON");
-  flags.define_string("shards-out", "",
-                      "write per-shard window statistics (occupancy, "
-                      "barrier stall) as JSON; wall-clock stall fields are "
-                      "not byte-stable across runs");
   flags.define_bool("help", false, "print this help");
 
   if (!flags.parse(argc, argv)) {
@@ -220,7 +212,6 @@ int run(int argc, char** argv) {
   config.runtime.max_attempts = static_cast<int>(flags.get_int("max-attempts"));
   config.runtime.blacklist_after =
       static_cast<int>(flags.get_int("blacklist-after"));
-  config.runtime.shard_count = static_cast<int>(flags.get_int("shards"));
   if (const std::string spec = flags.get_string("fail-node"); !spec.empty()) {
     std::string error;
     if (!parse_failures(spec, flags.get_double("fail-at"),
@@ -273,10 +264,9 @@ int run(int argc, char** argv) {
   const std::string decisions_path = flags.get_string("decisions-out");
   const std::string spans_path = flags.get_string("spans-out");
   const std::string critpath_path = flags.get_string("critpath-out");
-  const std::string shards_path = flags.get_string("shards-out");
   const bool want_spans = !spans_path.empty() || !critpath_path.empty();
   if (!trace_path.empty() || !metrics_path.empty() || !decisions_path.empty() ||
-      want_spans || !shards_path.empty()) {
+      want_spans) {
     metrics::TraceLog trace;
     obs::MetricsRegistry registry;
     obs::DecisionLog decisions;
@@ -352,15 +342,6 @@ int run(int argc, char** argv) {
       }
       std::printf("decision log (%zu decisions) written to %s\n",
                   decisions.size(), decisions_path.c_str());
-    }
-    if (!shards_path.empty()) {
-      if (!write_file(shards_path, [&](std::ostream& out) {
-            mapreduce::write_shard_stats_json(runtime, out);
-          })) {
-        return fail("cannot write " + shards_path);
-      }
-      std::printf("shard stats (%d shards) written to %s\n",
-                  runtime.shard_count(), shards_path.c_str());
     }
   }
 
